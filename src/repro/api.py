@@ -32,7 +32,7 @@ from repro.lang import ast
 from repro.lang.errors import UnsolvedConstraint
 from repro.lang.parser import parse_program
 from repro.lang.source import SourceFile
-from repro.solver.backends import Backend, get_backend
+from repro.solver.backends import Backend, get_backend, load_backend
 from repro.solver.portfolio import (
     GLOBAL_CACHE,
     DifferentialSolver,
@@ -350,6 +350,10 @@ def _resolve_backend(
         cache = GLOBAL_CACHE
     elif cache is False:
         cache = None
+    if isinstance(backend, str):
+        # Non-default backends import their solver modules lazily; do
+        # it here so no solve time or tier telemetry includes an import.
+        load_backend(backend)
     if backend == "portfolio":
         backend = Backend(
             "portfolio", PortfolioSolver(telemetry).unsat, integer_complete=True

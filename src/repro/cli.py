@@ -6,20 +6,36 @@ Subcommands:
   nonzero when obligations fail;
 * ``dml goals FILE``    — dump every proof goal with its verdict;
 * ``dml compile FILE``  — emit the generated Python (checks eliminated
-  where proved);
+  where proved) for a ``--dialect``;
+* ``dml compile-and-run FILE`` — check, compile for a dialect, run the
+  checked and the unchecked build, and report timings and eliminated
+  checks.  FILE may name a bundled program; a benchmark workload then
+  supplies seeded inputs, otherwise ``--entry`` and argument literals
+  drive the call;
 * ``dml run FILE ENTRY [ARG ...]`` — interpret, printing the result and
   the dynamic check counters.  Arguments parse as ML-ish literals:
   ``42``, ``true``, ``[1,2,3]`` (list), ``[|1,2,3|]`` (array), and
   tuples ``(1, [|2|])``;
+* ``dml fmt FILE``      — pretty-print a program (``-i`` rewrites it in
+  place);
+* ``dml certify FILE``  — issue a safety certificate for the eliminated
+  checks and re-verify it with an independent ``--verifier`` backend;
 * ``dml bench``         — regenerate the paper's tables (delegates to
   ``python -m repro.bench``);
 * ``dml check-corpus``  — check every bundled corpus program through
   the parallel, incrementally-cached driver (``repro.driver``) and
   print an aggregate Table-1-style report with cache telemetry;
+* ``dml fuzz``          — differentially fuzz the whole pipeline with
+  generated programs (``repro.fuzz``), shrinking any divergence to a
+  minimal repro;
 * ``dml serve``         — run the warm checking daemon
   (``repro.server``): prelude template, solver caches, and the
   goal-preprocessing context stay hot across HTTP/JSON ``/check``
   requests, with server-side admission caps on client budgets.
+
+``check`` and ``goals`` import only the checking pipeline.  Every other
+subcommand imports what it runs (interpreter, code generator, driver,
+store, server) when it is dispatched.
 
 The ``repro`` entry point is an alias for ``dml``.
 """
@@ -27,19 +43,29 @@ The ``repro`` entry point is an alias for ``dml``.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 from typing import Any, Callable
 
 from repro import api
-from repro.compile.dialects import dialect_names
-from repro.driver.store import DEFAULT_CACHE_DIR, DEFAULT_STORE, STORE_BACKENDS
-from repro.eval.interp import Interpreter
-from repro.eval.values import from_pylist, render
 from repro.lang.errors import DMLError
 from repro.solver.backends import backend_names
 from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
+
+# Argparse choices and defaults owned by registries that import the
+# code generator, sqlite or the bench workloads.  Every invocation
+# builds the whole parser, so it keeps copies of the names;
+# tests/test_cli_imports.py pins each copy to its registry.
+DIALECTS = ("numpy", "packed", "plain")  # compile.dialects.dialect_names()
+STORE_BACKENDS = ("sqlite", "json")  # driver.store.STORE_BACKENDS
+DEFAULT_STORE = "sqlite"  # driver.store.DEFAULT_STORE
+DEFAULT_CACHE_DIR = ".repro-cache"  # driver.store.DEFAULT_CACHE_DIR
+PRESETS = ("small", "default", "paper", "huge")  # bench.workloads.PRESETS
+
+
+class UsageError(Exception):
+    """A bad command-line value found after parsing: printed as
+    ``error: <message>``, exit status 2."""
 
 
 def _read(path: str) -> str:
@@ -90,10 +116,6 @@ def _limits(args: argparse.Namespace) -> SolverLimits | None:
     timeout = getattr(args, "goal_timeout", None)
     if budget is None and timeout is None:
         return None
-    if (budget is not None and budget < 0) or (
-        timeout is not None and timeout < 0
-    ):
-        raise ValueError("budget/timeout must be non-negative")
     max_steps = DEFAULT_LIMITS.max_steps
     if budget is not None:
         max_steps = budget if budget > 0 else None
@@ -206,13 +228,14 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
     inputs are built at ``--scale``/``--preset`` size; otherwise
     ``--entry`` plus argument literals drive the call directly.
     """
+    import random
     import time as _time
 
     from repro import programs
     from repro.bench import workloads as wl
     from repro.compile import support
     from repro.compile.dialects import DialectError, get_dialect
-    from repro.compile.pycodegen import compile_program
+    from repro.compile.pycodegen import compile_program, mangle
 
     path = Path(args.file)
     if path.exists():
@@ -243,6 +266,9 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
         print("error: no --entry given and FILE is not a registered "
               "benchmark workload", file=sys.stderr)
         return 2
+    if mangle(entry) not in module.load():
+        print(f"error: no such function: {entry}", file=sys.stderr)
+        return 2
 
     if args.args:
         params = None
@@ -253,6 +279,8 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
                 tuple(_parse_value(a, support.from_pylist)
                       for a in args.args)
             )
+
+        build_args()  # a bad literal fails here, before any output
     elif workload is not None:
         if args.scale is not None:
             params = workload.scaled(args.scale)
@@ -319,12 +347,15 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _parse_value(text: str, mklist: Callable[[list], Any] = from_pylist):
+def _parse_value(text: str, mklist: Callable[[list], Any] | None = None):
     """Parse a command-line argument literal into a runtime value.
 
-    ``mklist`` builds DML list values — the interpreter and the
-    compiled backends represent cons cells differently.
+    ``mklist`` builds DML list values — the interpreter (the default)
+    and the compiled backends represent cons cells differently.  A
+    malformed literal raises :class:`UsageError`.
     """
+    if mklist is None:
+        from repro.eval.values import from_pylist as mklist
     text = text.strip()
     if text == "true":
         return True
@@ -344,7 +375,10 @@ def _parse_value(text: str, mklist: Callable[[list], Any] = from_pylist):
     if text.startswith("(") and text.endswith(")"):
         inner = text[1:-1].strip()
         return tuple(_parse_value(t, mklist) for t in _split_commas(inner))
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"invalid argument literal {text!r}") from None
 
 
 def _split_commas(text: str) -> list[str]:
@@ -367,12 +401,15 @@ def _split_commas(text: str) -> list[str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.eval.interp import Interpreter
+    from repro.eval.values import render
+
+    call_args = [_parse_value(a) for a in args.args]
     report = api.check(_read(args.file), args.file, backend=args.backend,
                        cache=args.cache, limits=_limits(args),
                        slice_goals=not args.no_slice)
     unchecked = report.eliminable_sites() if not args.always_check else set()
     interp = Interpreter(report.program, unchecked, env=report.env)
-    call_args = [_parse_value(a) for a in args.args]
     result = interp.call(args.entry, *call_args)
     print(render(result))
     stats = interp.stats
@@ -549,8 +586,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.bench.workloads import PRESETS
-
     parser = argparse.ArgumentParser(
         prog="dml",
         description="DML-lite: dependent types for array bound check "
@@ -591,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def dialect_flag(p):
         p.add_argument("--dialect", default="plain",
-                       choices=dialect_names(),
+                       choices=DIALECTS,
                        help="generated-code value representation: plain "
                             "(Python lists), packed (array('q') int64 "
                             "buffers), numpy (optional).  A site the "
@@ -839,6 +874,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except DMLError as exc:
         print(f"error: {exc.render()}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,39 +20,36 @@ semantics, and :mod:`repro.driver.hashing` for the
 incrementality/invalidation rules.
 """
 
-from repro.driver.cache import DiskCache
-from repro.driver.core import (
-    CorpusReport,
-    DriverReport,
-    DriverStats,
-    ProgramResult,
-    check_corpus,
-    check_program,
-)
-from repro.driver.hashing import decl_keys, prelude_hash
-from repro.driver.store import (
-    DEFAULT_CACHE_DIR,
-    DEFAULT_STORE,
-    STORE_BACKENDS,
-    SqliteVerdictStore,
-    VerdictStore,
-    open_store,
-)
+from importlib import import_module
 
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "DEFAULT_STORE",
-    "STORE_BACKENDS",
-    "DiskCache",
-    "SqliteVerdictStore",
-    "VerdictStore",
-    "open_store",
-    "CorpusReport",
-    "DriverReport",
-    "DriverStats",
-    "ProgramResult",
-    "check_corpus",
-    "check_program",
-    "decl_keys",
-    "prelude_hash",
-]
+#: Public name -> the submodule that defines it.  Names resolve on first
+#: access (PEP 562), so importing one submodule, say ``driver.store``
+#: for the server, does not run ``driver.core`` and its executors.
+_EXPORTS = {
+    "DEFAULT_CACHE_DIR": "store",
+    "DEFAULT_STORE": "store",
+    "STORE_BACKENDS": "store",
+    "DiskCache": "cache",
+    "SqliteVerdictStore": "store",
+    "VerdictStore": "store",
+    "open_store": "store",
+    "CorpusReport": "core",
+    "DriverReport": "core",
+    "DriverStats": "core",
+    "ProgramResult": "core",
+    "check_corpus": "core",
+    "check_program": "core",
+    "decl_keys": "hashing",
+    "prelude_hash": "hashing",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -52,6 +52,7 @@ from repro.server.protocol import (
     admit_limits,
     check_response,
 )
+from repro.solver.backends import load_backend
 from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 from repro.solver.portfolio import SolverCache, SolverTelemetry
 from repro.solver.slice import SliceContext
@@ -141,7 +142,10 @@ class CheckService:
         # should already be warm — and in process mode the pool forks
         # *after* this point, so every worker inherits the warm
         # template, intern table, and seeded cache via copy-on-write.
+        # The configured backend's solver modules load lazily, so they
+        # are imported here for the same reason.
         api._prelude_inferencer()
+        load_backend(self.config.backend)
         self.disk = (
             open_store(self.config.cache_dir, self.config.store)
             if self.config.cache_dir is not None

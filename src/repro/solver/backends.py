@@ -22,15 +22,21 @@ Available backends:
   :mod:`repro.solver.portfolio`).
 * ``differential`` — answers with ``fourier`` but cross-checks every
   UNSAT verdict against ``omega``, raising on a soundness violation.
+
+Only ``fourier`` is imported with this module.  Every other backend
+imports its decision procedure on first use, so a one-shot ``repro
+check`` with the default backend never loads the rest;
+:func:`load_backend` imports one ahead of time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Callable, Sequence
 
 from repro.indices.linear import Atom
-from repro.solver import fourier, interval, omega, simplex
+from repro.solver import fourier
 
 
 @dataclass
@@ -54,15 +60,21 @@ def _fourier_rational_unsat(atoms: Sequence[Atom]) -> bool:
 
 
 def _omega_unsat(atoms: Sequence[Atom]) -> bool:
-    return omega.omega_unsat(atoms)
+    from repro.solver.omega import omega_unsat
+
+    return omega_unsat(atoms)
 
 
 def _simplex_unsat(atoms: Sequence[Atom]) -> bool:
-    return simplex.simplex_unsat(atoms)
+    from repro.solver.simplex import simplex_unsat
+
+    return simplex_unsat(atoms)
 
 
 def _interval_unsat(atoms: Sequence[Atom]) -> bool:
-    return interval.interval_unsat(atoms)
+    from repro.solver.interval import interval_unsat
+
+    return interval_unsat(atoms)
 
 
 def _portfolio_unsat(atoms: Sequence[Atom]) -> bool:
@@ -90,6 +102,15 @@ _REGISTRY: dict[str, Backend] = {
     "differential": Backend("differential", _differential_unsat),
 }
 
+#: The ``repro.solver`` modules a backend imports on first use.
+_MODULES: dict[str, tuple[str, ...]] = {
+    "omega": ("omega",),
+    "simplex": ("simplex",),
+    "interval": ("interval",),
+    "portfolio": ("portfolio", "interval", "omega"),
+    "differential": ("portfolio", "omega"),
+}
+
 DEFAULT_BACKEND = "fourier"
 
 
@@ -99,6 +120,14 @@ def get_backend(name: str = DEFAULT_BACKEND) -> Backend:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown solver backend {name!r} (known: {known})") from None
+
+
+def load_backend(name: str) -> None:
+    """Import now the modules backend ``name`` would import on first
+    use (a server calls this before it forks its workers, so that each
+    inherits them instead of importing its own copy)."""
+    for module in _MODULES.get(name, ()):
+        import_module(f"repro.solver.{module}")
 
 
 def backend_names() -> list[str]:

@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from repro.indices.linear import Atom
-from repro.solver import fourier, interval, omega
 from repro.solver.backends import Backend, get_backend
 from repro.solver.budget import current_budget
 
@@ -334,11 +333,10 @@ class SolverTelemetry:
 # Portfolio and differential solvers
 # ---------------------------------------------------------------------------
 
-#: The escalation ladder: cheap and incomplete first, exact last.
-PORTFOLIO_TIERS: tuple[tuple[str, Callable[[Sequence[Atom]], bool]], ...] = (
-    ("interval", lambda atoms: interval.interval_unsat(atoms)),
-    ("fourier", lambda atoms: fourier.fourier_unsat(atoms)),
-    ("omega", lambda atoms: omega.omega_unsat(atoms)),
+#: The escalation ladder: cheap and incomplete first, exact last.  The
+#: registered backends import their solver module on first use.
+PORTFOLIO_TIERS: tuple[tuple[str, Callable[[Sequence[Atom]], bool]], ...] = tuple(
+    (name, get_backend(name).unsat) for name in ("interval", "fourier", "omega")
 )
 
 
@@ -402,10 +400,12 @@ class DifferentialSolver:
         )
         if not verdict:
             return False
+        from repro.solver.omega import OmegaBudgetExceeded, omega_sat
+
         started = time.perf_counter()
         try:
-            confirmed = not omega.omega_sat(atoms)
-        except omega.OmegaBudgetExceeded:
+            confirmed = not omega_sat(atoms)
+        except OmegaBudgetExceeded:
             confirmed = True  # unconfirmable, not contradicted
         self.telemetry.record_decision(
             "omega-confirm", time.perf_counter() - started, False

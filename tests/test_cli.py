@@ -155,6 +155,26 @@ class TestCommands:
         assert main(["compile-and-run", good_file]) == 2
         assert "no --entry" in capsys.readouterr().err
 
+    def test_compile_and_run_unknown_entry(self, capsys):
+        assert main(["compile-and-run", "bcopy", "--entry", "nosuch"]) == 2
+        assert "error: no such function: nosuch" in capsys.readouterr().err
+
+    def test_run_unknown_entry(self, good_file, capsys):
+        assert main(["run", good_file, "nosuch"]) == 2
+        assert "no such function: nosuch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{file}", "f", "foo"],
+        ["run", "{file}", "f", "[|1, foo|]"],
+        ["compile-and-run", "{file}", "foo", "--entry", "f"],
+    ])
+    def test_invalid_argument_literal(self, good_file, argv, capsys):
+        argv = [good_file if a == "{file}" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: invalid argument literal 'foo'" in captured.err
+        assert "result" not in captured.out
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/x.dml"]) == 2
 
@@ -271,11 +291,6 @@ class TestBudgetFlags:
         limits = _limits(ns)
         assert limits.max_steps == DEFAULT_LIMITS.max_steps
         assert limits.goal_timeout == 1.5
-        # Defensive: negatives cannot sneak past the parser, and the
-        # helper refuses them too.
-        ns = argparse.Namespace(budget=-5, goal_timeout=None)
-        with pytest.raises(ValueError):
-            _limits(ns)
 
 
 class TestServeParser:

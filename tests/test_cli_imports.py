@@ -1,0 +1,159 @@
+"""A one-shot ``repro check`` imports only the checking pipeline.
+
+Each import check runs in a fresh interpreter, because this test
+process has long since imported every module.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import cli, driver
+from repro.bench.workloads import PRESETS
+from repro.compile.dialects import dialect_names
+from repro.driver import store
+from repro.solver.backends import backend_names
+
+ROOT = Path(__file__).resolve().parents[1]
+BCOPY = "src/repro/programs/bcopy.dml"
+
+#: Packages and modules the ``check`` path must never load.
+FORBIDDEN = (
+    "repro.driver", "repro.compile", "repro.eval", "repro.bench",
+    "repro.server", "repro.fuzz",
+    "repro.solver.omega", "repro.solver.simplex", "repro.solver.interval",
+    "sqlite3", "multiprocessing", "concurrent.futures",
+)
+
+# Runs the CLI as ``python -m repro.cli`` would, then reports its exit
+# code, its output and the modules it left loaded.
+_CLI_CHILD = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["repro.cli", *sys.argv[1:]]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_module("repro.cli", run_name="__main__", alter_sys=True)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "stdout": out.getvalue(),
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def _child(code: str, *argv: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded(modules: list[str], names: tuple[str, ...]) -> list[str]:
+    return [m for m in modules
+            if any(m == n or m.startswith(n + ".") for n in names)]
+
+
+def _counts(summary: str) -> list[str]:
+    """The count lines of a check summary (timings vary run to run)."""
+    return [line for line in summary.splitlines()
+            if line.startswith(("constraints:", "proof goals:",
+                                "existential vars:", "check sites:"))]
+
+
+@pytest.mark.parametrize("command", ["check", "goals"])
+def test_check_imports_only_the_checking_pipeline(command):
+    result = _child(_CLI_CHILD, command, BCOPY)
+    assert result["code"] == 0
+    assert result["stdout"]
+    assert _loaded(result["modules"], FORBIDDEN) == []
+
+
+#: bcopy's summary counts per backend (the weaker backends keep checks).
+BCOPY_COUNTS = {
+    "omega": (51, 0, 12), "portfolio": (51, 0, 12),
+    "differential": (51, 0, 12),
+    "simplex": (42, 9, 0), "interval": (37, 14, 0),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BCOPY_COUNTS))
+def test_lazily_imported_backends_still_check(backend):
+    proved, failed, eliminable = BCOPY_COUNTS[backend]
+    result = _child(_CLI_CHILD, "check", BCOPY, "--backend", backend)
+    assert result["code"] == (0 if failed == 0 else 1)
+    assert _counts(result["stdout"]) == [
+        "constraints:      51",
+        f"proof goals:      51 ({proved} proved, {failed} failed)",
+        "existential vars: 0 solved",
+        f"check sites:      12 ({eliminable} eliminable)",
+    ]
+
+
+# Preloads a backend, then checks a program with it and reports the
+# modules the check itself imported.
+_LOAD_THEN_CHECK = """
+import json, sys
+from pathlib import Path
+from repro import api
+from repro.solver.backends import load_backend
+load_backend(sys.argv[1])
+before = set(sys.modules)
+api.check(Path(sys.argv[2]).read_text(), backend=sys.argv[1])
+print(json.dumps({"modules": sorted(set(sys.modules) - before)}))
+"""
+
+
+@pytest.mark.parametrize("backend", backend_names())
+def test_load_backend_imports_what_the_backend_runs(backend):
+    result = _child(_LOAD_THEN_CHECK, backend, BCOPY)
+    assert _loaded(result["modules"], ("repro.solver",)) == []
+
+
+def test_driver_store_does_not_run_driver_core():
+    result = _child(
+        "import json, sys\n"
+        "import repro.driver.store\n"
+        "print(json.dumps({'modules': sorted(sys.modules)}))\n"
+    )
+    assert _loaded(result["modules"], ("repro.driver.core",
+                                       "concurrent.futures")) == []
+
+
+def test_every_driver_export_resolves():
+    for name in driver.__all__:
+        assert getattr(driver, name) is not None, name
+    with pytest.raises(AttributeError):
+        driver.no_such_name  # noqa: B018
+
+
+def test_parser_choices_match_their_registries():
+    assert cli.DIALECTS == dialect_names()
+    assert cli.STORE_BACKENDS == store.STORE_BACKENDS
+    assert cli.DEFAULT_STORE == store.DEFAULT_STORE
+    assert cli.DEFAULT_CACHE_DIR == store.DEFAULT_CACHE_DIR
+    assert list(cli.PRESETS) == list(PRESETS)
+
+
+def test_help_text_is_unchanged(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    text = parser.format_help() + "".join(
+        f"==== {name}\n{sub.format_help()}"
+        for name, sub in subparsers.choices.items()
+    )
+    # Python 3.10 titles the options section "optional arguments".
+    text = text.replace("optional arguments:", "options:")
+    assert text == (ROOT / "tests" / "data" / "cli_help.txt").read_text()
