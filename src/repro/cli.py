@@ -49,6 +49,7 @@ from typing import Any, Callable
 
 from repro import api
 from repro.lang.errors import DMLError
+from repro.lang.source import SourceFile
 from repro.solver.backends import backend_names
 from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 
@@ -68,8 +69,12 @@ class UsageError(Exception):
     ``error: <message>``, exit status 2."""
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _read(args: argparse.Namespace) -> str:
+    """The text of FILE.  It is also kept on ``args`` as ``source``, so
+    :func:`main` can show where a pipeline error points."""
+    text = Path(args.file).read_text()
+    args.source = SourceFile(text, args.file)
+    return text
 
 
 def _budget_steps(text: str) -> int:
@@ -126,7 +131,7 @@ def _limits(args: argparse.Namespace) -> SolverLimits | None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    report = api.check(_read(args.file), args.file, backend=args.backend,
+    report = api.check(_read(args), args.file, backend=args.backend,
                        cache=args.cache, limits=_limits(args),
                        slice_goals=not args.no_slice)
     print(report.summary())
@@ -139,7 +144,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_goals(args: argparse.Namespace) -> int:
-    report = api.check(_read(args.file), args.file, backend=args.backend,
+    report = api.check(_read(args), args.file, backend=args.backend,
                        cache=args.cache, limits=_limits(args),
                        slice_goals=not args.no_slice)
     store = report.elab.store
@@ -210,7 +215,7 @@ def _compile_source(args: argparse.Namespace, source: str, name: str):
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    result = _compile_source(args, _read(args.file), args.file)
+    result = _compile_source(args, _read(args), args.file)
     if args.output:
         Path(args.output).write_text(result.module.source)
         print(f"wrote {args.output}")
@@ -239,10 +244,11 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
 
     path = Path(args.file)
     if path.exists():
-        source, prog_name, display = path.read_text(), path.stem, args.file
+        source, prog_name, display = _read(args), path.stem, args.file
     elif args.file in programs.available():
         source = programs.load_source(args.file)
         prog_name, display = args.file, f"{args.file}.dml"
+        args.source = SourceFile(source, display)
     else:
         print(f"error: {args.file!r} is neither a file nor a corpus "
               f"program (available: {', '.join(programs.available())})",
@@ -405,7 +411,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.eval.values import render
 
     call_args = [_parse_value(a) for a in args.args]
-    report = api.check(_read(args.file), args.file, backend=args.backend,
+    report = api.check(_read(args), args.file, backend=args.backend,
                        cache=args.cache, limits=_limits(args),
                        slice_goals=not args.no_slice)
     unchecked = report.eliminable_sites() if not args.always_check else set()
@@ -428,7 +434,7 @@ def cmd_fmt(args: argparse.Namespace) -> int:
     from repro.lang.parser import parse_program
     from repro.lang.pretty import pretty_program
 
-    program = parse_program(_read(args.file), args.file)
+    program = parse_program(_read(args), args.file)
     formatted = pretty_program(program)
     if args.in_place:
         Path(args.file).write_text(formatted)
@@ -441,7 +447,7 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     from repro.compile.certificate import issue_certificate, verify_certificate
 
-    report = api.check(_read(args.file), args.file, backend=args.backend,
+    report = api.check(_read(args), args.file, backend=args.backend,
                        cache=args.cache, limits=_limits(args),
                        slice_goals=not args.no_slice)
     if not report.structural_ok:
@@ -873,7 +879,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except DMLError as exc:
-        print(f"error: {exc.render()}", file=sys.stderr)
+        source = getattr(args, "source", None)
+        print(f"error: {exc.render(source)}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

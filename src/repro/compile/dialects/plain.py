@@ -25,7 +25,7 @@ def call_position(code: str) -> str:
 
 class PlainDialect(Dialect):
     name = "plain"
-    description = "Python lists with inline checks (parity baseline)"
+    description = "Python lists with checked-helper calls (parity baseline)"
 
     def emit_read(self, array: str, index: str, checked: bool) -> str:
         if checked:

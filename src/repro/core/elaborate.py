@@ -44,6 +44,7 @@ from repro.indices.terms import EvarStore, IVar, IndexTerm
 from repro.lang import ast
 from repro.lang.errors import ElabError
 from repro.lang.source import Span
+from repro.types import map_items
 from repro.types import types as dt
 from repro.types.types import DType, MetaStore
 
@@ -399,12 +400,14 @@ class Elaborator:
         return dt.subst_index(ty.body, mapping)
 
     def open_sigmas_deep(self, ty: DType) -> DType:
-        """Open top-level Sigmas, including inside tuples."""
+        """Open top-level Sigmas, including inside tuples (``ty`` itself
+        when there is none)."""
         ty = self.metas.resolve(ty)
         if isinstance(ty, dt.DSig):
             return self.open_sigmas_deep(self.open_sig(ty))
         if isinstance(ty, dt.DTuple):
-            return dt.DTuple(tuple(self.open_sigmas_deep(t) for t in ty.items))
+            items = map_items(self.open_sigmas_deep, ty.items)
+            return ty if items is ty.items else dt.DTuple(items)
         return ty
 
     # -- subtyping ------------------------------------------------------------

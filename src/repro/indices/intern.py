@@ -14,8 +14,8 @@ object*, which buys, everywhere terms are compared today:
 * **maximal sharing** — a term is stored once no matter how many
   types, hypotheses, or goals mention it;
 * **memoization points** — per-node slots (``free_vars``,
-  ``linearize``, canonical keys) computed at most once per distinct
-  term, process-wide.
+  ``free_evars``, ``linearize``, comparison atoms) computed at most
+  once per distinct term, process-wide.
 
 Invariants (see docs/LANGUAGE.md):
 
@@ -38,19 +38,43 @@ from __future__ import annotations
 
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import MISSING
 from typing import Any
 
 
-class InternTable:
-    """The process-wide node store: ``(cls, *fields) -> node`` (weak)."""
+class _Entry(weakref.ref):
+    """A table entry: a weak reference to a node that knows its key.
 
-    __slots__ = ("_entries", "_lock", "_next_id", "hits", "misses")
+    (:class:`weakref.KeyedRef` does the same through Python-level
+    ``__new__``/``__init__``; this class keeps construction in C.)"""
+
+    __slots__ = ("key",)
+
+
+class InternTable:
+    """The process-wide node store: ``(cls, *fields) -> node`` (weak).
+
+    Entries are :class:`_Entry` weak references in a plain dict.  A
+    node's death callback removes its entry with
+    ``_remove_dead_weakref``, the atomic helper
+    :class:`weakref.WeakValueDictionary` itself uses: it deletes the slot
+    only if it still holds a dead reference, so a callback that fires
+    late can never evict a node republished under the same key.
+    Lookups therefore need no lock; only publishing a new node (and the
+    counters) takes it.
+    """
+
+    __slots__ = ("_entries", "_lock", "_next_id", "_remove", "hits", "misses")
 
     def __init__(self) -> None:
-        self._entries: "weakref.WeakValueDictionary[tuple, Any]" = (
-            weakref.WeakValueDictionary()
-        )
+        entries: dict[tuple, _Entry] = {}
+
+        def remove(entry: _Entry) -> None:
+            _remove_dead_weakref(entries, entry.key)
+
+        self._entries = entries
+        self._remove = remove
         self._lock = threading.Lock()
         self._next_id = 0
         self.hits = 0
@@ -61,24 +85,30 @@ class InternTable:
         if kwargs or len(args) != len(cls.__match_args__):
             args = _normalize(cls, args, kwargs)
         key = (cls, *args)
-        with self._lock:
-            node = self._entries.get(key)
+        entry = self._entries.get(key)
+        if entry is not None:
+            node = entry()
             if node is not None:
-                self.hits += 1
+                with self._lock:
+                    self.hits += 1
                 return node
         # Build outside the lock (field validation may raise; nothing
-        # is published in that case), then insert under a double-check
-        # so a racing thread's node wins consistently.
+        # is published in that case), then re-check and publish under
+        # it, so a racing thread's node wins consistently.
         node = type.__call__(cls, *args)
         with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                self.hits += 1
-                return existing
+            entry = self._entries.get(key)
+            if entry is not None:
+                existing = entry()
+                if existing is not None:
+                    self.hits += 1
+                    return existing
             object.__setattr__(node, "_nid", self._next_id)
             self._next_id += 1
             self.misses += 1
-            self._entries[key] = node
+            entry = _Entry(node, self._remove)
+            entry.key = key
+            self._entries[key] = entry
             return node
 
     @property

@@ -15,11 +15,11 @@ Terms are also *hash-consed* (:mod:`repro.indices.intern`): every
 constructor call — including the raw dataclass calls below — returns
 the unique interned node for its class and fields, so structural
 equality coincides with identity, ``==``/``hash`` are O(1), and the
-traversal results below (:func:`free_vars`, :func:`free_evars`,
-:func:`canonical_key`, plus :func:`repro.indices.linear.linearize`)
-are memoized once per distinct node, process-wide.  Do not mutate
-nodes and do not bypass the constructors (``object.__new__`` etc.) —
-every invariant in the solver pipeline now leans on sharing.
+traversal results below (:func:`free_vars`, :func:`free_evars`, plus
+:func:`repro.indices.linear.linearize`) are memoized once per distinct
+node, process-wide.  Do not mutate nodes and do not bypass the
+constructors (``object.__new__`` etc.) — every invariant in the solver
+pipeline now leans on sharing.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class IndexTerm(metaclass=Interned):
         "_fv",
         "_fev",
         "_lin",
-        "_ckey",
         "_atoms",
         "_elim",
         "_dnf",
@@ -377,7 +376,6 @@ _EMPTY_STRS: frozenset[str] = frozenset()
 _EMPTY_EVARS: "frozenset[EVar]" = frozenset()
 _FV_MEMO = memo_counter("free_vars")
 _FEV_MEMO = memo_counter("free_evars")
-_CKEY_MEMO = memo_counter("canonical_key")
 
 
 def free_vars(term: IndexTerm) -> frozenset[str]:
@@ -422,47 +420,6 @@ def free_evars(term: IndexTerm) -> "frozenset[EVar]":
                 result = result | kid_evars if result else kid_evars
     object.__setattr__(term, "_fev", result)
     return result
-
-
-def canonical_key(term: IndexTerm) -> tuple:
-    """A content-derived structural key for ``term``.
-
-    Unlike the node id (process-local, allocation-ordered), this key is
-    a pure function of the term's structure: equal across processes,
-    safe to hash into persistent artifacts, and memoized per node
-    (``_ckey`` slot).  The solver-level
-    :func:`repro.solver.portfolio.canonical_key` additionally quotients
-    by variable renaming; this one distinguishes variables by name."""
-    try:
-        cached = term._ckey  # type: ignore[attr-defined]
-        _CKEY_MEMO.hits += 1
-        return cached
-    except AttributeError:
-        _CKEY_MEMO.misses += 1
-    if isinstance(term, IVar):
-        key: tuple = ("var", term.name)
-    elif isinstance(term, EVar):
-        key = ("evar", term.uid, term.hint)
-    elif isinstance(term, IConst):
-        key = ("int", term.value)
-    elif isinstance(term, BConst):
-        key = ("bool", term.value)
-    elif isinstance(term, BinOp):
-        key = ("binop", term.op, canonical_key(term.left), canonical_key(term.right))
-    elif isinstance(term, UnOp):
-        key = ("unop", term.op, canonical_key(term.arg))
-    elif isinstance(term, Cmp):
-        key = ("cmp", term.op, canonical_key(term.left), canonical_key(term.right))
-    elif isinstance(term, Not):
-        key = ("not", canonical_key(term.arg))
-    elif isinstance(term, And):
-        key = ("and", canonical_key(term.left), canonical_key(term.right))
-    elif isinstance(term, Or):
-        key = ("or", canonical_key(term.left), canonical_key(term.right))
-    else:
-        raise AssertionError(f"unknown index term {term!r}")
-    object.__setattr__(term, "_ckey", key)
-    return key
 
 
 def _rebuild(term: IndexTerm, new_children: tuple[IndexTerm, ...]) -> IndexTerm:

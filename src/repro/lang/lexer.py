@@ -1,19 +1,22 @@
 """Lexer for DML-lite.
 
-Token kinds:
+Token kinds (docs/LANGUAGE.md §1):
 
-* ``INT`` — decimal integer literals,
-* ``ID`` — alphanumeric identifiers (including constructor names),
+* ``INT`` — decimal integer literals ``[0-9]+``,
+* ``ID`` — identifiers ``[A-Za-z_][A-Za-z0-9_']*`` (including
+  constructor names; a lone ``_`` is the wildcard symbol),
 * ``TYVAR`` — ``'a``-style type variables,
 * keywords (ML's plus ``typeref``, ``assert``, ``where``),
 * punctuation and operators, including the paper's ``<|`` annotation
   arrow.
 
-Comments are SML's ``(* ... *)`` and nest.
+Comments are SML's ``(* ... *)``, nest, and may hold any text; outside
+them every character must belong to a token or be ASCII whitespace.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.lang.errors import LexError
@@ -97,69 +100,60 @@ class Token:
         return self.text or self.kind
 
 
+#: One regex for every token class of docs/LANGUAGE.md §1.  Each match
+#: skips the whitespace before a token and captures exactly one named
+#: group: the token, a comment opener (comments nest, so
+#: :func:`_skip_comment` consumes the body), the end of input, a quote
+#: that starts no type variable, or any other single character.
+_TOKEN = re.compile(
+    rf"""[ \t\r\n]*(?:
+      (?P<COMMENT>\(\*)
+    | (?P<INT>[0-9]+)
+    | (?P<TYVAR>'[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<QUOTE>')
+    | (?P<ID>(?:[A-Za-z]|_(?=[A-Za-z0-9_]))[A-Za-z0-9_']*)
+    | (?P<SYMBOL>{'|'.join(map(re.escape, SYMBOLS))})
+    | (?P<END>\Z)
+    | (?P<OTHER>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def tokenize(source: SourceFile) -> list[Token]:
-    """Tokenize an entire source file; raises :class:`LexError`."""
+    """Tokenize an entire source file; raises :class:`LexError`.
+
+    Only the ASCII characters of the documented token classes may
+    appear outside comments."""
     text = source.text
-    n = len(text)
-    pos = 0
+    match = _TOKEN.match
     tokens: list[Token] = []
-
-    while pos < n:
-        ch = text[pos]
-
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-
-        if text.startswith("(*", pos):
-            pos = _skip_comment(source, pos)
-            continue
-
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(Token("INT", text[start:pos], Span(start, pos)))
-            continue
-
-        if ch == "'":
-            start = pos
-            pos += 1
-            if pos >= n or not (text[pos].isalpha() or text[pos] == "_"):
-                raise LexError("expected type variable after '", Span(start, pos))
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(Token("TYVAR", text[start:pos], Span(start, pos)))
-            continue
-
-        if ch.isalpha() or ch == "_" and _is_ident_start(text, pos):
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-                pos += 1
-            word = text[start:pos]
+    pos = 0
+    while True:
+        found = match(text, pos)
+        group = found.lastgroup
+        start, pos = found.span(group)
+        if group == "ID":
+            word = found[group]
             kind = word if word in KEYWORDS else "ID"
             tokens.append(Token(kind, word, Span(start, pos)))
-            continue
-
-        matched = False
-        for symbol in SYMBOLS:
-            if text.startswith(symbol, pos):
-                tokens.append(Token(symbol, symbol, Span(pos, pos + len(symbol))))
-                pos += len(symbol)
-                matched = True
-                break
-        if matched:
-            continue
-
-        raise LexError(f"unexpected character {ch!r}", Span(pos, pos + 1))
-
-    tokens.append(Token("EOF", "", Span(n, n)))
+        elif group == "SYMBOL":
+            symbol = found[group]
+            tokens.append(Token(symbol, symbol, Span(start, pos)))
+        elif group == "INT" or group == "TYVAR":
+            tokens.append(Token(group, found[group], Span(start, pos)))
+        elif group == "COMMENT":
+            pos = _skip_comment(source, start)
+        elif group == "END":
+            break
+        elif group == "QUOTE":
+            raise LexError("expected type variable after '", Span(start, pos))
+        else:
+            raise LexError(
+                f"unexpected character {text[start]!r}", Span(start, pos)
+            )
+    tokens.append(Token("EOF", "", Span(pos, pos)))
     return tokens
-
-
-def _is_ident_start(text: str, pos: int) -> bool:
-    """A lone ``_`` is the wildcard symbol; ``_foo`` is an identifier."""
-    return pos + 1 < len(text) and (text[pos + 1].isalnum() or text[pos + 1] == "_")
 
 
 def _skip_comment(source: SourceFile, pos: int) -> int:

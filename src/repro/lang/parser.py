@@ -59,12 +59,17 @@ class Parser:
 
     # -- token utilities -------------------------------------------------
 
+    # ``advance`` never moves past the final EOF token, so
+    # ``self.tokens[self.pos]`` is always the current token.
+
     def peek(self, offset: int = 0) -> Token:
+        if not offset:
+            return self.tokens[self.pos]
         index = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[index]
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]

@@ -26,6 +26,7 @@ from typing import Iterator, Mapping
 from repro.indices import terms
 from repro.indices.sorts import Sort
 from repro.indices.terms import IndexTerm
+from repro.types import map_items
 
 
 class DType:
@@ -203,35 +204,43 @@ def free_index_vars(ty: DType) -> set[str]:
 
 
 def subst_index(ty: DType, mapping: Mapping[str, IndexTerm]) -> DType:
-    """Substitute index variables throughout a type, respecting binders."""
+    """Substitute index variables throughout a type, respecting binders.
+
+    Returns ``ty`` itself when no substitution applies anywhere in it."""
     if not mapping:
         return ty
     if isinstance(ty, (DTyVar, DMeta)):
         return ty
     if isinstance(ty, DBase):
-        return DBase(
-            ty.name,
-            tuple(subst_index(t, mapping) for t in ty.tyargs),
-            tuple(terms.subst(i, mapping) for i in ty.iargs),
-        )
+        tyargs = map_items(lambda t: subst_index(t, mapping), ty.tyargs)
+        iargs = map_items(lambda i: terms.subst(i, mapping), ty.iargs)
+        if tyargs is ty.tyargs and iargs is ty.iargs:
+            return ty
+        return DBase(ty.name, tyargs, iargs)
     if isinstance(ty, DTuple):
-        return DTuple(tuple(subst_index(t, mapping) for t in ty.items))
+        items = map_items(lambda t: subst_index(t, mapping), ty.items)
+        return ty if items is ty.items else DTuple(items)
     if isinstance(ty, DArrow):
-        return DArrow(subst_index(ty.dom, mapping), subst_index(ty.cod, mapping))
+        dom = subst_index(ty.dom, mapping)
+        cod = subst_index(ty.cod, mapping)
+        if dom is ty.dom and cod is ty.cod:
+            return ty
+        return DArrow(dom, cod)
     if isinstance(ty, (DPi, DSig)):
         inner = {k: v for k, v in mapping.items()
                  if k not in {name for name, _ in ty.binders}}
-        cls = DPi if isinstance(ty, DPi) else DSig
-        return cls(
-            ty.binders,
-            terms.subst(ty.guard, inner),
-            subst_index(ty.body, inner),
-        )
+        guard = terms.subst(ty.guard, inner)
+        body = subst_index(ty.body, inner)
+        if guard is ty.guard and body is ty.body:
+            return ty
+        return type(ty)(ty.binders, guard, body)
     raise AssertionError(f"unknown type {ty!r}")
 
 
 def subst_tyvars(ty: DType, mapping: Mapping[str, DType]) -> DType:
-    """Substitute type variables (scheme instantiation)."""
+    """Substitute type variables (scheme instantiation).
+
+    Returns ``ty`` itself when no substitution applies anywhere in it."""
     if not mapping:
         return ty
     if isinstance(ty, DTyVar):
@@ -239,18 +248,20 @@ def subst_tyvars(ty: DType, mapping: Mapping[str, DType]) -> DType:
     if isinstance(ty, DMeta):
         return ty
     if isinstance(ty, DBase):
-        return DBase(
-            ty.name,
-            tuple(subst_tyvars(t, mapping) for t in ty.tyargs),
-            ty.iargs,
-        )
+        tyargs = map_items(lambda t: subst_tyvars(t, mapping), ty.tyargs)
+        return ty if tyargs is ty.tyargs else DBase(ty.name, tyargs, ty.iargs)
     if isinstance(ty, DTuple):
-        return DTuple(tuple(subst_tyvars(t, mapping) for t in ty.items))
+        items = map_items(lambda t: subst_tyvars(t, mapping), ty.items)
+        return ty if items is ty.items else DTuple(items)
     if isinstance(ty, DArrow):
-        return DArrow(subst_tyvars(ty.dom, mapping), subst_tyvars(ty.cod, mapping))
+        dom = subst_tyvars(ty.dom, mapping)
+        cod = subst_tyvars(ty.cod, mapping)
+        if dom is ty.dom and cod is ty.cod:
+            return ty
+        return DArrow(dom, cod)
     if isinstance(ty, (DPi, DSig)):
-        cls = DPi if isinstance(ty, DPi) else DSig
-        return cls(ty.binders, ty.guard, subst_tyvars(ty.body, mapping))
+        body = subst_tyvars(ty.body, mapping)
+        return ty if body is ty.body else type(ty)(ty.binders, ty.guard, body)
     raise AssertionError(f"unknown type {ty!r}")
 
 
@@ -321,23 +332,33 @@ class MetaStore:
         return True
 
     def resolve(self, ty: DType) -> DType:
-        """Substitute solved metas throughout, to a fixed point."""
+        """Substitute solved metas throughout, to a fixed point.
+
+        Returns ``ty`` itself when no solved meta occurs in it."""
+        if not self._solutions:
+            return ty
+        if isinstance(ty, DBase):
+            if not ty.tyargs:
+                return ty
+            tyargs = map_items(self.resolve, ty.tyargs)
+            return ty if tyargs is ty.tyargs else DBase(ty.name, tyargs, ty.iargs)
         if isinstance(ty, DMeta):
             solution = self._solutions.get(ty)
             return ty if solution is None else self.resolve(solution)
         if isinstance(ty, DTyVar):
             return ty
-        if isinstance(ty, DBase):
-            if not ty.tyargs:
-                return ty
-            return DBase(ty.name, tuple(self.resolve(t) for t in ty.tyargs), ty.iargs)
         if isinstance(ty, DTuple):
-            return DTuple(tuple(self.resolve(t) for t in ty.items))
+            items = map_items(self.resolve, ty.items)
+            return ty if items is ty.items else DTuple(items)
         if isinstance(ty, DArrow):
-            return DArrow(self.resolve(ty.dom), self.resolve(ty.cod))
+            dom = self.resolve(ty.dom)
+            cod = self.resolve(ty.cod)
+            if dom is ty.dom and cod is ty.cod:
+                return ty
+            return DArrow(dom, cod)
         if isinstance(ty, (DPi, DSig)):
-            cls = DPi if isinstance(ty, DPi) else DSig
-            return cls(ty.binders, ty.guard, self.resolve(ty.body))
+            body = self.resolve(ty.body)
+            return ty if body is ty.body else type(ty)(ty.binders, ty.guard, body)
         raise AssertionError(f"unknown type {ty!r}")
 
 

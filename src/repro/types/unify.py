@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.lang.errors import MLTypeError
 from repro.lang.source import DUMMY_SPAN, Span
+from repro.types import map_items
 from repro.types.mltype import (
     MLArrow,
     MLCon,
@@ -45,16 +46,24 @@ class Unifier:
         return ty
 
     def resolve(self, ty: MLType) -> MLType:
-        """Fully apply the substitution (zonk)."""
+        """Fully apply the substitution (zonk).
+
+        Returns ``ty`` itself when no solved variable occurs in it."""
         ty = self.prune(ty)
         if isinstance(ty, (MLVar, MLRigid)):
             return ty
         if isinstance(ty, MLCon):
-            return MLCon(ty.name, tuple(self.resolve(a) for a in ty.args))
+            args = map_items(self.resolve, ty.args)
+            return ty if args is ty.args else MLCon(ty.name, args)
         if isinstance(ty, MLTuple):
-            return MLTuple(tuple(self.resolve(a) for a in ty.items))
+            items = map_items(self.resolve, ty.items)
+            return ty if items is ty.items else MLTuple(items)
         if isinstance(ty, MLArrow):
-            return MLArrow(self.resolve(ty.dom), self.resolve(ty.cod))
+            dom = self.resolve(ty.dom)
+            cod = self.resolve(ty.cod)
+            if dom is ty.dom and cod is ty.cod:
+                return ty
+            return MLArrow(dom, cod)
         raise AssertionError(f"unknown ML type {ty!r}")
 
     def occurs(self, var: MLVar, ty: MLType) -> bool:

@@ -1,10 +1,15 @@
 """Unit tests for the lexer."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from repro.lang.errors import LexError
-from repro.lang.lexer import KEYWORDS, tokenize
-from repro.lang.source import SourceFile
+from repro.lang.lexer import KEYWORDS, SYMBOLS, Token, tokenize
+from repro.lang.source import SourceFile, Span
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def kinds(text):
@@ -139,3 +144,138 @@ class TestRealPrograms:
         tokens = tokenize(SourceFile(programs.prelude_source()))
         assert tokens[-1].kind == "EOF"
         assert len(tokens) > 300
+
+
+class TestAsciiOnly:
+    """docs/LANGUAGE.md §1: identifiers and integers are ASCII."""
+
+    @pytest.mark.parametrize("text, offset", [
+        ("val x = \u00b2", 8),        # superscript two: isdigit() but no digit
+        ("val x = \u0663", 8),        # Arabic-Indic three: int() reads 3
+        ("val \u00e9 = 1", 4),        # Latin e-acute: isalpha()
+        ("val x\u00e9 = 1", 5),       # ... also inside an identifier
+        ("val x = 1\u0663", 9),       # ... and after a digit
+        ("'a\u00e9", 2),              # ... and inside a type variable
+        ("x \u00a0 y", 2),            # no-break space is not whitespace
+    ])
+    def test_non_ascii_outside_comments_is_rejected(self, text, offset):
+        with pytest.raises(LexError) as info:
+            tokenize(SourceFile(text))
+        assert info.value.message == f"unexpected character {text[offset]!r}"
+        assert info.value.span == Span(offset, offset + 1)
+
+    def test_comments_may_be_non_ascii(self):
+        assert kinds("(* caf\u00e9 \u2264 \u00b2 *) x") == ["ID", "EOF"]
+
+
+def reference_tokenize(source):
+    """The character-loop lexer the regex lexer replaced, kept verbatim
+    (``str.isdigit``/``isalpha``/``isalnum`` included) as the reference
+    on ASCII text, where those agree with the documented classes."""
+    text = source.text
+    n = len(text)
+    pos = 0
+    tokens = []
+
+    while pos < n:
+        ch = text[pos]
+
+        if ch in " \t\r\n":
+            pos += 1
+            continue
+
+        if text.startswith("(*", pos):
+            pos = reference_skip_comment(source, pos)
+            continue
+
+        if ch.isdigit():
+            start = pos
+            while pos < n and text[pos].isdigit():
+                pos += 1
+            tokens.append(Token("INT", text[start:pos], Span(start, pos)))
+            continue
+
+        if ch == "'":
+            start = pos
+            pos += 1
+            if pos >= n or not (text[pos].isalpha() or text[pos] == "_"):
+                raise LexError("expected type variable after '", Span(start, pos))
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            tokens.append(Token("TYVAR", text[start:pos], Span(start, pos)))
+            continue
+
+        if ch.isalpha() or ch == "_" and reference_is_ident_start(text, pos):
+            start = pos
+            while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
+                pos += 1
+            word = text[start:pos]
+            kind = word if word in KEYWORDS else "ID"
+            tokens.append(Token(kind, word, Span(start, pos)))
+            continue
+
+        matched = False
+        for symbol in SYMBOLS:
+            if text.startswith(symbol, pos):
+                tokens.append(Token(symbol, symbol, Span(pos, pos + len(symbol))))
+                pos += len(symbol)
+                matched = True
+                break
+        if matched:
+            continue
+
+        raise LexError(f"unexpected character {ch!r}", Span(pos, pos + 1))
+
+    tokens.append(Token("EOF", "", Span(n, n)))
+    return tokens
+
+
+def reference_is_ident_start(text, pos):
+    return pos + 1 < len(text) and (text[pos + 1].isalnum() or text[pos + 1] == "_")
+
+
+def reference_skip_comment(source, pos):
+    text = source.text
+    start = pos
+    depth = 0
+    n = len(text)
+    while pos < n:
+        if text.startswith("(*", pos):
+            depth += 1
+            pos += 2
+        elif text.startswith("*)", pos):
+            depth -= 1
+            pos += 2
+            if depth == 0:
+                return pos
+        else:
+            pos += 1
+    raise LexError("unterminated comment", Span(start, n))
+
+
+def outcome(lex, text):
+    """A lexer's token stream, or its error, in comparable form."""
+    try:
+        return [(t.kind, t.text, t.span) for t in lex(SourceFile(text))]
+    except LexError as exc:
+        return (type(exc), exc.message, exc.span)
+
+
+class TestAgreesWithReference:
+    def test_every_repository_program(self):
+        paths = sorted(REPO.glob("**/*.dml"))
+        assert len(paths) > 50
+        for path in paths:
+            text = path.read_text()
+            assert outcome(tokenize, text) == outcome(reference_tokenize, text), path
+
+    def test_random_ascii_strings(self):
+        rng = random.Random(1505)
+        chars = [chr(c) for c in range(32, 127)] + ["\t", "\n", "\r", "\x0b"]
+        fragments = ["(*", "*)", "'a", "_", "_x", "x'", "42", "fun", " ", *SYMBOLS]
+        for _ in range(20_000):
+            text = "".join(
+                rng.choice(fragments) if rng.random() < 0.3 else rng.choice(chars)
+                for _ in range(rng.randint(0, 40))
+            )
+            assert outcome(tokenize, text) == outcome(reference_tokenize, text), text

@@ -132,7 +132,8 @@ def daemon():
 
 @pytest.fixture()
 def client(daemon):
-    return ServeClient(daemon.port)
+    with ServeClient(daemon.port) as instance:
+        yield instance
 
 
 class TestEndpoints:
@@ -302,17 +303,23 @@ class TestConcurrency:
         # connections are kept alive across requests, so sharing one
         # client between threads is not supported.
         local = threading.local()
+        clients: list[ServeClient] = []
 
         def hit(name: str) -> tuple[str, list]:
             if not hasattr(local, "client"):
                 local.client = ServeClient(daemon.port)
+                clients.append(local.client)
             answer = local.client.check(
                 programs.load_source(name), f"{name}.dml"
             )
             return name, answer["verdicts"]
 
-        with ThreadPoolExecutor(max_workers=len(self.PROGRAMS)) as pool:
-            outcomes = list(pool.map(hit, self.PROGRAMS * 2))
+        try:
+            with ThreadPoolExecutor(max_workers=len(self.PROGRAMS)) as pool:
+                outcomes = list(pool.map(hit, self.PROGRAMS * 2))
+        finally:
+            for client in clients:
+                client.close()
         for name, verdicts in outcomes:
             assert verdicts == expected[name], name
 
@@ -329,7 +336,8 @@ class TestAdmissionControl:
 
     @pytest.fixture()
     def capped_client(self, capped_daemon):
-        return ServeClient(capped_daemon.port)
+        with ServeClient(capped_daemon.port) as instance:
+            yield instance
 
     def test_over_budget_request_degrades_fail_soft(self, capped_client):
         # The client asks for *no* cap; the server clamps to 60 steps,
@@ -362,18 +370,20 @@ class TestPersistence:
         config = ServerConfig(cache_dir=cache_dir)
         first = ServeDaemon(CheckService(config), port=0).start_in_thread()
         try:
-            answer = ServeClient(first.port).check(GOOD, "persist.dml")
+            with ServeClient(first.port) as client:
+                answer = client.check(GOOD, "persist.dml")
             assert answer["ok"] is True
         finally:
             first.stop()  # close() flushes the DiskCache
 
         second = ServeDaemon(CheckService(config), port=0).start_in_thread()
         try:
-            stats = ServeClient(second.port).stats()
-            assert stats["cache"]["preloaded"] > 0
-            assert stats["store"]["backend"] == "sqlite"
-            assert stats["store"]["solver_entries"] > 0
-            again = ServeClient(second.port).check(GOOD, "persist.dml")
+            with ServeClient(second.port) as client:
+                stats = client.stats()
+                assert stats["cache"]["preloaded"] > 0
+                assert stats["store"]["backend"] == "sqlite"
+                assert stats["store"]["solver_entries"] > 0
+                again = client.check(GOOD, "persist.dml")
             assert again["verdicts"] == answer["verdicts"]
         finally:
             second.stop()
@@ -384,13 +394,15 @@ class TestPersistence:
         )
         first = ServeDaemon(CheckService(config), port=0).start_in_thread()
         try:
-            assert ServeClient(first.port).check(GOOD, "p.dml")["ok"] is True
+            with ServeClient(first.port) as client:
+                assert client.check(GOOD, "p.dml")["ok"] is True
         finally:
             first.stop()
 
         second = ServeDaemon(CheckService(config), port=0).start_in_thread()
         try:
-            stats = ServeClient(second.port).stats()
+            with ServeClient(second.port) as client:
+                stats = client.stats()
             assert stats["store"]["backend"] == "json"
             assert stats["cache"]["preloaded"] > 0
         finally:

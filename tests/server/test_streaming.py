@@ -42,7 +42,8 @@ def daemon():
 
 @pytest.fixture()
 def client(daemon):
-    return ServeClient(daemon.port)
+    with ServeClient(daemon.port) as instance:
+        yield instance
 
 
 class TestStreaming:
@@ -171,8 +172,8 @@ class TestProcessModeStreaming:
         )
         daemon = ServeDaemon(service, port=0).start_in_thread()
         try:
-            client = ServeClient(daemon.port)
-            results = client.check_batch(corpus_payloads(), stream=True)
+            with ServeClient(daemon.port) as client:
+                results = client.check_batch(corpus_payloads(), stream=True)
             for name, result in zip(NAMES, results):
                 assert result["verdicts"] == reference_verdicts(
                     programs.load_source(name), f"{name}.dml"

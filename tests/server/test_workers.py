@@ -45,7 +45,8 @@ def process_daemon():
 
 @pytest.fixture()
 def client(process_daemon):
-    return ServeClient(process_daemon.port)
+    with ServeClient(process_daemon.port) as instance:
+        yield instance
 
 
 class TestParity:
@@ -66,14 +67,14 @@ class TestParity:
         thread_service = CheckService(ServerConfig(cache_dir=None))
         thread_daemon = ServeDaemon(thread_service, port=0).start_in_thread()
         try:
-            thread_client = ServeClient(thread_daemon.port)
-            for name in names:
-                source = programs.load_source(name)
-                via_process = client.check(source, f"{name}.dml")
-                via_thread = thread_client.check(source, f"{name}.dml")
-                assert via_process["verdicts"] == via_thread["verdicts"], name
-                assert via_process["ok"] is via_thread["ok"]
-                assert via_process["eliminable"] == via_thread["eliminable"]
+            with ServeClient(thread_daemon.port) as thread_client:
+                for name in names:
+                    source = programs.load_source(name)
+                    via_process = client.check(source, f"{name}.dml")
+                    via_thread = thread_client.check(source, f"{name}.dml")
+                    assert via_process["verdicts"] == via_thread["verdicts"], name
+                    assert via_process["ok"] is via_thread["ok"]
+                    assert via_process["eliminable"] == via_thread["eliminable"]
         finally:
             thread_daemon.stop()
 
@@ -100,7 +101,8 @@ class TestParity:
     def test_admission_clamping_is_parent_side(self, process_daemon):
         """The admitted envelope reported back is the parent's clamp,
         identical to thread mode."""
-        answer = ServeClient(process_daemon.port).check(GOOD, budget=60)
+        with ServeClient(process_daemon.port) as client:
+            answer = client.check(GOOD, budget=60)
         assert answer["limits"]["max_steps"] == 60
 
 
@@ -148,7 +150,8 @@ class TestContainment:
 
     @pytest.fixture()
     def fragile_client(self, fragile_daemon):
-        return ServeClient(fragile_daemon.port)
+        with ServeClient(fragile_daemon.port) as instance:
+            yield instance
 
     def worker_pid(self, client) -> int:
         (row,) = client.stats()["workers"]
@@ -184,16 +187,16 @@ class TestContainment:
         )
         daemon = ServeDaemon(service, port=0).start_in_thread()
         try:
-            client = ServeClient(daemon.port)
-            client.check(GOOD)
-            pid = self.worker_pid(client)
-            os.kill(pid, signal.SIGSTOP)  # wedge: alive but not answering
-            with pytest.raises(ServeError) as exc:
-                client.check(GOOD, "wedged.dml")
-            assert exc.value.status == 500
-            assert "worker-timeout" in exc.value.payload["error"]
-            assert client.stats()["respawns"] == 1
-            assert self.worker_pid(client) != pid
-            assert client.check(GOOD)["ok"] is True
+            with ServeClient(daemon.port) as client:
+                client.check(GOOD)
+                pid = self.worker_pid(client)
+                os.kill(pid, signal.SIGSTOP)  # wedge: alive but not answering
+                with pytest.raises(ServeError) as exc:
+                    client.check(GOOD, "wedged.dml")
+                assert exc.value.status == 500
+                assert "worker-timeout" in exc.value.payload["error"]
+                assert client.stats()["respawns"] == 1
+                assert self.worker_pid(client) != pid
+                assert client.check(GOOD)["ok"] is True
         finally:
             daemon.stop()

@@ -184,6 +184,20 @@ class TestCommands:
         assert main(["check", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["goals"], ["compile"], ["fmt"], ["certify"],
+        ["run", "f"], ["compile-and-run", "--entry", "f"],
+    ])
+    def test_front_end_error_shows_its_location(self, tmp_path, argv, capsys):
+        path = tmp_path / "bad.dml"
+        path.write_text("val x = 1 $ 2\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (
+            f"error: {path}:1:11: LexError: unexpected character '$'"
+        )
+        assert err[1:] == ["val x = 1 $ 2", " " * 10 + "^"]
+
     def test_curried_entry(self, tmp_path, capsys):
         path = tmp_path / "curry.dml"
         path.write_text("fun add x y = x + y\n")
