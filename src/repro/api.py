@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from repro import programs
 from repro.core.elaborate import ElabResult, SiteInfo, elaborate_program
@@ -32,6 +32,7 @@ from repro.lang import ast
 from repro.lang.errors import UnsolvedConstraint
 from repro.lang.parser import parse_program
 from repro.lang.source import SourceFile
+from repro.records import record
 from repro.solver.backends import Backend, get_backend, load_backend
 from repro.solver.portfolio import (
     GLOBAL_CACHE,
@@ -42,12 +43,12 @@ from repro.solver.portfolio import (
     canonical_key_stats,
     instrument,
 )
-from repro.solver.budget import SolverLimits
+from repro.solver.budget import SolverLimits, fail_soft_lines
 from repro.solver.simplify import GoalResult, SolveStats, prove_all
 from repro.solver.slice import SliceContext
 
 
-@dataclass
+@record
 class CheckReport:
     """Result of statically checking one program."""
 
@@ -137,19 +138,17 @@ class CheckReport:
             f"generation time:  {self.generation_seconds * 1000:.2f} ms",
             f"solve time:       {self.solve_seconds * 1000:.2f} ms",
         ]
-        if self.stats.budget_exhausted or self.stats.contained_crashes:
-            lines.append(
-                f"fail-soft:        {self.stats.budget_exhausted} "
-                f"budget-exhausted goal(s), {self.stats.contained_crashes} "
-                f"contained crash(es) (checks kept)"
-            )
+        lines.extend(
+            fail_soft_lines(self.stats.budget_exhausted, self.stats.contained_crashes)
+        )
         if self.telemetry is not None and self.telemetry.queries:
             lines.extend(self.telemetry.lines())
-            ck_hits, ck_misses, ck_evictions = canonical_key_stats()
-            lines.append(
-                f"canonical keys:   {ck_hits} hit(s) / {ck_misses} miss(es) "
-                f"/ {ck_evictions} eviction(s) (process-wide memo)"
-            )
+            if self.telemetry.consulted_cache:
+                ck_hits, ck_misses, ck_evictions = canonical_key_stats()
+                lines.append(
+                    f"canonical keys:   {ck_hits} hit(s) / {ck_misses} miss(es) "
+                    f"/ {ck_evictions} eviction(s) (process-wide memo)"
+                )
         for result in self.failed_goals:
             where = self.source.describe(result.goal.span)
             lines.append(f"UNSOLVED [{where}] {result.goal} -- {result.reason}")
@@ -212,7 +211,7 @@ def reset_prelude_cache() -> None:
         _PRELUDE_TEMPLATE = None
 
 
-@dataclass
+@record
 class Elaboration:
     """Output of the untimed+timed front half of ``check``: everything
     up to (and including) constraint generation, before any solving."""
@@ -418,7 +417,7 @@ def check_corpus(
     )
 
 
-@dataclass
+@record
 class CompileResult:
     """Everything one end-to-end ``compile`` produced: the static
     report, the (dialect-gated) elimination plan, and the loadable

@@ -28,7 +28,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import api, programs
@@ -38,6 +37,7 @@ from repro.compile.pycodegen import compile_program
 from repro.eval.interp import Interpreter
 from repro.eval.runtime import RuntimeStats
 from repro.lang import ast
+from repro.records import record
 from repro.solver.backends import backend_names
 from repro.solver.portfolio import SolverCache, SolverTelemetry
 
@@ -47,7 +47,7 @@ from repro.solver.portfolio import SolverCache, SolverTelemetry
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Table1Row:
     program: str
     constraints: int
@@ -172,7 +172,7 @@ def table1(names: list[str] | None = None, backend: str = "fourier") -> list[Tab
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Table23Row:
     program: str
     with_checks_seconds: float
@@ -332,7 +332,7 @@ def figure4() -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class SolverRow:
     program: str
     results: dict[str, tuple[int, int, float]]  # backend -> (proved, total, secs)
@@ -354,7 +354,7 @@ def solver_ablation(names: list[str] | None = None) -> list[SolverRow]:
     return rows
 
 
-@dataclass
+@record
 class ExistentialRow:
     program: str
     created: int
@@ -383,7 +383,7 @@ def existentials_table(names: list[str] | None = None) -> list[ExistentialRow]:
     return rows
 
 
-@dataclass
+@record
 class PortfolioRow:
     program: str
     fourier_seconds: float
@@ -446,7 +446,7 @@ def portfolio_table(names: list[str] | None = None) -> list[PortfolioRow]:
     return rows
 
 
-@dataclass
+@record
 class DriverRow:
     """One whole-corpus run through the checking driver."""
 
@@ -517,7 +517,7 @@ def driver_table(jobs: int | None = None, backend: str = "fourier") -> list[Driv
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class InternRow:
     """One line of the intern/memo effectiveness table."""
 

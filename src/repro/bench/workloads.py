@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.compile import support
 from repro.eval import values as rv
+from repro.records import record
 
 #: Workload sizes: name -> {preset: parameters}.
 SIZES: dict[str, dict[str, dict[str, int]]] = {
@@ -121,7 +121,7 @@ ACCESS_DENSE = ("bcopy", "binary search", "quick sort", "kmp")
 SEED = 19980617  # PLDI '98, Montreal
 
 
-@dataclass
+@record
 class Workload:
     """One benchmark: program + entry point + argument builder."""
 

@@ -43,6 +43,8 @@ The ``repro`` entry point is an alias for ``dml``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -897,5 +899,23 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
 
+def run() -> None:
+    """The ``dml``/``repro`` command and ``python -m repro.cli``.
+
+    ``check`` and ``goals`` leave nothing open, so once their output is
+    flushed they exit without tearing the interpreter down, which
+    would free every object the check built (about 6% of a cold
+    ``repro check``).  Every other subcommand exits normally.
+    """
+    code = main()
+    if sys.argv[1:2] in (["check"], ["goals"]):
+        for stream in (sys.stdout, sys.stderr):
+            # A reader that went away (a closed pipe) takes nothing more.
+            with contextlib.suppress(OSError, ValueError):
+                stream.flush()
+        os._exit(code)
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -18,16 +18,17 @@ inference or elaboration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from repro.api import CheckReport
 from repro.indices.sorts import Sort
 from repro.indices.terms import EvarStore, IndexTerm
+from repro.records import record
 from repro.solver.backends import Backend, get_backend
 from repro.solver.simplify import Goal, prove_goal
 
 
-@dataclass
+@record
 class Obligation:
     """One self-contained proof goal (evars already substituted)."""
 
@@ -47,7 +48,7 @@ class Obligation:
         return f"{quant}{body}"
 
 
-@dataclass
+@record
 class SafetyCertificate:
     """The obligations justifying every eliminated check."""
 
@@ -141,7 +142,7 @@ def issue_certificate(
     return SafetyCertificate(report.name, sites, structural, plan.dialect)
 
 
-@dataclass
+@record
 class VerificationResult:
     valid: bool
     checked: int

@@ -28,14 +28,14 @@ mirrored by :meth:`~repro.api.CheckReport.eliminable_sites`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.api import CheckReport
 from repro.compile.dialects import Dialect, get_dialect
 from repro.core.elaborate import SiteInfo
+from repro.records import record
 
 
-@dataclass
+@record
 class EliminationPlan:
     """Which check sites compile to unchecked accesses."""
 

@@ -39,12 +39,13 @@ Core code-generation decisions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Optional
 
 from repro.compile.dialects import Dialect, get_dialect
 from repro.core.env import ALWAYS_CHECKED, CHECK_SITES, GlobalEnv
 from repro.lang import ast
+from repro.records import record
 
 _PRELUDE = '''\
 from repro.compile.support import (
@@ -77,7 +78,7 @@ def mangle(name: str) -> str:
     return "d_" + safe
 
 
-@dataclass
+@record
 class GeneratedModule:
     """Generated Python source plus a loader."""
 

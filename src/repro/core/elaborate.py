@@ -32,7 +32,7 @@ is one shared object, not a fresh tree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from repro.core import tyconv
 from repro.core.env import CHECK_SITES, GUARDED_OPS, GlobalEnv, ValueKind
@@ -44,12 +44,13 @@ from repro.indices.terms import EvarStore, IVar, IndexTerm
 from repro.lang import ast
 from repro.lang.errors import ElabError
 from repro.lang.source import Span
+from repro.records import record
 from repro.types import map_items
 from repro.types import types as dt
 from repro.types.types import DType, MetaStore
 
 
-@dataclass
+@record
 class SiteInfo:
     """One eliminable check site (an application of sub/update/nth/...)."""
 
@@ -59,7 +60,7 @@ class SiteInfo:
     span: Span
 
 
-@dataclass
+@record
 class DeclConstraint:
     """The constraint tree generated for one top-level declaration."""
 
@@ -67,7 +68,7 @@ class DeclConstraint:
     constraint: cs.Constraint
 
 
-@dataclass
+@record
 class ReachabilityProbe:
     """A branch point whose hypotheses might be contradictory.
 
@@ -82,7 +83,7 @@ class ReachabilityProbe:
     hyps: list[IndexTerm]
 
 
-@dataclass
+@record
 class ExhaustivenessProbe:
     """A value shape a ``case`` does not cover.
 
@@ -99,7 +100,7 @@ class ExhaustivenessProbe:
     hyps: list[IndexTerm]
 
 
-@dataclass
+@record
 class ElabResult:
     """Everything phase 2 produces for a program."""
 

@@ -8,11 +8,12 @@ and transparent type *abbreviations*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import Optional
 
 from repro.indices.sorts import BOOL, INT, NAT, Sort
+from repro.records import record
 from repro.types.types import DScheme
 
 
@@ -51,7 +52,7 @@ ALWAYS_CHECKED = {
 }
 
 
-@dataclass
+@record
 class Family:
     """One type family: built-in or user ``datatype``."""
 
@@ -72,7 +73,7 @@ class Family:
         return "invariant"
 
 
-@dataclass
+@record
 class ConInfo:
     name: str
     family: str
@@ -81,7 +82,7 @@ class ConInfo:
     scheme: DScheme
 
 
-@dataclass
+@record
 class ValueInfo:
     name: str
     kind: ValueKind

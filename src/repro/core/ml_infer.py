@@ -16,7 +16,6 @@ ML type — so dependent annotations can never change ML typability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.core import resolve, tyconv
 from repro.core.env import (
@@ -31,13 +30,14 @@ from repro.core.env import (
 from repro.lang import ast
 from repro.lang.errors import ElabError, MLTypeError
 from repro.lang.source import Span
+from repro.records import record
 from repro.types import erasure
 from repro.types import mltype as ml
 from repro.types import types as dt
 from repro.types.unify import Unifier
 
 
-@dataclass
+@record
 class InferResult:
     """Output of phase 1 for one program."""
 

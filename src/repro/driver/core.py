@@ -41,7 +41,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 
 from repro import api, programs
@@ -54,8 +54,9 @@ from repro.driver.store import (
     open_store,
 )
 from repro.indices.terms import EvarStore
+from repro.records import record
 from repro.solver.backends import Backend
-from repro.solver.budget import SolverLimits
+from repro.solver.budget import SolverLimits, fail_soft_lines
 from repro.solver.portfolio import (
     SolverCache,
     SolverTelemetry,
@@ -88,7 +89,7 @@ def _backend_name(backend: Backend | str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class DriverStats:
     """Driver-level telemetry for one checked program."""
 
@@ -116,7 +117,7 @@ class DriverStats:
         return min(self.busy_seconds / capacity, 1.0)
 
 
-@dataclass
+@record
 class DriverReport:
     """A :class:`~repro.api.CheckReport` plus driver telemetry."""
 
@@ -387,7 +388,7 @@ def _replayable(records: list[GoalRecord], goals: list[Goal]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ProgramResult:
     """Slim, picklable outcome of checking one corpus program."""
 
@@ -472,7 +473,7 @@ def _program_result(name: str, outcome: DriverReport) -> ProgramResult:
     )
 
 
-@dataclass
+@record
 class CorpusReport:
     """Aggregate outcome of one ``check-corpus`` run."""
 
@@ -590,12 +591,7 @@ class CorpusReport:
                 f"{self.subsumption_hits} subsumption hit(s), "
                 f"{self.prefix_reuses} prefix reuse(s)"
             )
-        if self.budget_exhausted or self.contained_crashes:
-            lines.append(
-                f"fail-soft:        {self.budget_exhausted} "
-                f"budget-exhausted goal(s), {self.contained_crashes} "
-                f"contained crash(es) (checks kept)"
-            )
+        lines.extend(fail_soft_lines(self.budget_exhausted, self.contained_crashes))
         if self.corrupt_cache:
             lines.append(
                 "note:             on-disk cache was corrupt or stale; "

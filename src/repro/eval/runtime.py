@@ -21,15 +21,16 @@ exploit.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from typing import Any
 
 from repro.eval import values as rv
 from repro.eval.values import ConV, BuiltinV
 from repro.lang.errors import BoundsError, EvalError, TagError
+from repro.records import record
 
 
-@dataclass
+@record
 class RuntimeStats:
     """Dynamic counters for one program run."""
 

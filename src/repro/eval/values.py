@@ -14,14 +14,15 @@ Representation choices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.records import record
 
 #: The unit value.
 UNIT: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ConV:
     """A datatype constructor value; ``arg`` is ``None`` for nullary."""
 
@@ -58,7 +59,7 @@ def to_pylist(value: ConV) -> list:
     return items
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Env:
     """A lexical environment: one dict per scope, chained."""
 
@@ -77,7 +78,7 @@ class Env:
         return Env(bindings if bindings is not None else {}, self)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Closure:
     """A named function value from a ``fun`` declaration."""
 
@@ -88,7 +89,7 @@ class Closure:
     arity: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class FnV:
     """An anonymous ``fn pat => body`` value."""
 
@@ -97,7 +98,7 @@ class FnV:
     env: Env
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class PartialV:
     """A curried closure applied to fewer than ``arity`` arguments."""
 
@@ -105,7 +106,7 @@ class PartialV:
     args: tuple
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class BuiltinV:
     """A primitive with a Python implementation.
 
@@ -123,7 +124,7 @@ class BuiltinV:
     needs_apply: bool = False
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class TailCall:
     """An application in tail position, trampolined by ``apply``."""
 

@@ -3,7 +3,7 @@
 The generator targets exactly the decidable linear-index fragment the
 elaborator handles, so every generated program parses, ML-infers, and
 dependently elaborates with ``structural_ok`` — by construction, never
-by retry.  The trick is to generate a *spec* (plain dataclasses below)
+by retry.  The trick is to generate a *spec* (plain records below)
 rather than text: helper functions are drawn from a fixed template
 library whose annotations are known-provable shapes (the corpus
 programs' own loop and access idioms), and every call the spec makes to
@@ -40,15 +40,16 @@ the identical spec, and :func:`render` is a pure function of the spec —
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import Callable
+
+from repro.records import record
 
 # ---------------------------------------------------------------------------
 # Ground truth
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SiteTruth:
     """By-construction eliminability of one access site.
 
@@ -69,7 +70,7 @@ class SiteTruth:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArrayDecl:
     """``val aK = array(size, init)`` or ``tabulate(size, fn j => ...)``."""
 
@@ -80,7 +81,7 @@ class ArrayDecl:
     add: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ListDecl:
     """``val lK = x0 :: x1 :: ... :: nil`` (always non-empty: an
     unannotated ``nil`` binding would be polymorphic)."""
@@ -88,7 +89,7 @@ class ListDecl:
     items: tuple[int, ...] = (1,)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HelperDecl:
     """One instance of a template from :data:`TEMPLATES`."""
 
@@ -96,7 +97,7 @@ class HelperDecl:
     shift: int = 1  # get_shift's offset / fill_loop's multiplier
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Op:
     """One line of ``main``'s body.
 
@@ -115,7 +116,7 @@ class Op:
     value: tuple = ("lit", 0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProgramSpec:
     arrays: tuple[ArrayDecl, ...]
     lists: tuple[ListDecl, ...]
@@ -123,13 +124,13 @@ class ProgramSpec:
     ops: tuple[Op, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rendered:
     source: str
     truths: tuple[SiteTruth, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenConfig:
     decls: int = 3  # helper instances drawn
     depth: int = 8  # ops in main's body
@@ -148,7 +149,7 @@ class GenConfig:
 # test suite pins that assumption across many seeds.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Template:
     key: str
     kind: str  # "array" | "list"

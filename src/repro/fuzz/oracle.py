@@ -40,7 +40,7 @@ n = 2" is the difference between a repro and a riddle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Iterable, Sequence
 
 from repro import api
@@ -50,13 +50,14 @@ from repro.eval.interp import Interpreter
 from repro.eval.values import ConV, to_pylist
 from repro.fuzz.gen import SiteTruth
 from repro.lang.errors import DMLError
+from repro.records import record
 
 #: Mismatch kinds in decreasing severity.
 KINDS = ("pipeline-error", "soundness", "behaviour", "structural",
          "incompleteness")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Outcome:
     """What one engine produced: a native value or an exception class."""
 
@@ -71,7 +72,7 @@ class Outcome:
         return text if len(text) <= 60 else text[:57] + "..."
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mismatch:
     kind: str
     detail: str
@@ -79,7 +80,7 @@ class Mismatch:
     site: str | None = None
 
 
-@dataclass
+@record
 class DiffResult:
     """Everything one differential run produced."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,10 +33,11 @@ from repro.fuzz.oracle import (
     resolve_dialects,
     run_differential,
 )
+from repro.records import record
 from repro.solver.portfolio import SolverCache
 
 
-@dataclass
+@record
 class Finding:
     """One mismatching program, before and after shrinking."""
 
@@ -74,7 +75,7 @@ class Finding:
         ])
 
 
-@dataclass
+@record
 class FuzzReport:
     """Aggregate outcome of one fuzzing run."""
 

@@ -16,13 +16,13 @@ generated at every use of a prelude operator — are stored once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.indices import terms
 from repro.indices.intern import Interned
 from repro.indices.sorts import Sort
 from repro.indices.terms import IndexTerm
 from repro.lang.source import DUMMY_SPAN, Span
+from repro.records import record
 
 
 class Constraint(metaclass=Interned):
@@ -40,13 +40,13 @@ class Constraint(metaclass=Interned):
         return (cls, tuple(getattr(self, name) for name in cls.__match_args__))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class CTrue(Constraint):
     def __str__(self) -> str:
         return "T"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class CProp(Constraint):
     """An atomic boolean index obligation, tagged with its origin.
 
@@ -63,7 +63,7 @@ class CProp(Constraint):
         return str(self.prop)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class CAnd(Constraint):
     left: Constraint
     right: Constraint
@@ -72,7 +72,7 @@ class CAnd(Constraint):
         return f"({self.left} /\\ {self.right})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class CImpl(Constraint):
     """``hyp ==> body`` — hypotheses arise from pattern matching,
     branch conditions, and quantifier guards."""
@@ -84,7 +84,7 @@ class CImpl(Constraint):
         return f"({self.hyp} ==> {self.body})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class CForall(Constraint):
     var: str
     sort: Sort
@@ -94,7 +94,7 @@ class CForall(Constraint):
         return f"forall {self.var}:{self.sort}. {self.body}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class CExists(Constraint):
     var: str
     sort: Sort

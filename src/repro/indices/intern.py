@@ -19,7 +19,7 @@ object*, which buys, everywhere terms are compared today:
 
 Invariants (see docs/LANGUAGE.md):
 
-* interned classes must be immutable (frozen dataclasses) and their
+* interned classes must be immutable (frozen records) and their
   fields hashable — field tuples are the table keys;
 * two nodes are ``==`` iff they are ``is`` iff their class and fields
   are equal;
@@ -130,7 +130,7 @@ class InternTable:
 
 
 def _normalize(cls: type, args: tuple, kwargs: dict) -> tuple:
-    """Full positional field tuple for a dataclass call, applying
+    """Full positional field tuple for a record call, applying
     declaration-order defaults — so ``EVar(3)``, ``EVar(3, "?")`` and
     ``EVar(uid=3)`` all intern to the same node."""
     names = cls.__match_args__
@@ -169,7 +169,7 @@ TABLE = InternTable()
 class Interned(type):
     """Metaclass routing every instantiation through :data:`TABLE`.
 
-    Applying it to a (frozen, ``eq=False``) dataclass makes the raw
+    Applying it to a (frozen, ``eq=False``) record makes the raw
     constructor itself hash-consing: ``IConst(3) is IConst(3)``.  No
     call site can bypass the table, which is what makes identity a
     sound replacement for structural equality.

@@ -16,7 +16,6 @@ hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from repro.indices.intern import memo_counter
@@ -29,6 +28,7 @@ from repro.indices.terms import (
     IVar,
     UnOp,
 )
+from repro.records import record
 
 #: A variable in a linear combination is either a rigid name or an evar.
 LinVar = str | EVar
@@ -50,7 +50,7 @@ class UnsupportedIndex(Exception):
         self.term = term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinComb:
     """``sum(coeffs[v] * v) + const`` with integer coefficients.
 
@@ -236,7 +236,7 @@ def _linearize(term: IndexTerm) -> LinComb:
     raise NonLinearIndex(term)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Atom:
     """A primitive linear constraint: ``lhs REL 0``.
 

@@ -10,10 +10,10 @@ the constraint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.indices import terms
 from repro.indices.terms import BOOL_SORT, INT_SORT, IndexTerm, IVar
+from repro.records import record
 
 
 class Sort:
@@ -30,7 +30,7 @@ class Sort:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class BaseSort(Sort):
     name: str  # "int" or "bool"
 
@@ -44,7 +44,7 @@ class BaseSort(Sort):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SubsetSort(Sort):
     """``{var : parent | prop}`` — ``prop`` may mention ``var``."""
 

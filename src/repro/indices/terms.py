@@ -12,7 +12,7 @@ represented by :class:`EVar` nodes whose solutions live in an external
 :class:`EvarStore`, keeping the term language purely functional.
 
 Terms are also *hash-consed* (:mod:`repro.indices.intern`): every
-constructor call — including the raw dataclass calls below — returns
+constructor call — including the raw record calls below — returns
 the unique interned node for its class and fields, so structural
 equality coincides with identity, ``==``/``hash`` are O(1), and the
 traversal results below (:func:`free_vars`, :func:`free_evars`, plus
@@ -24,11 +24,11 @@ pipeline now leans on sharing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from repro.indices.intern import Interned, memo_counter
 from repro.lang.errors import EvalError
+from repro.records import record
 
 # ---------------------------------------------------------------------------
 # Term constructors
@@ -93,7 +93,7 @@ def _coerce(value: "IndexTerm | int") -> "IndexTerm":
     return IConst(value)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class IVar(IndexTerm):
     """A rigid (universally bound) index variable."""
 
@@ -103,7 +103,7 @@ class IVar(IndexTerm):
         return self.name
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class EVar(IndexTerm):
     """An existential index variable awaiting a witness.
 
@@ -119,7 +119,7 @@ class EVar(IndexTerm):
         return f"{self.hint}${self.uid}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class IConst(IndexTerm):
     value: int
 
@@ -127,7 +127,7 @@ class IConst(IndexTerm):
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class BinOp(IndexTerm):
     """Integer binary operator: ``+ - * div mod min max``."""
 
@@ -141,7 +141,7 @@ class BinOp(IndexTerm):
         return f"{self.op}({self.left}, {self.right})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class UnOp(IndexTerm):
     """Integer unary operator: ``neg abs sgn``."""
 
@@ -154,7 +154,7 @@ class UnOp(IndexTerm):
         return f"{self.op}({self.arg})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class BConst(IndexTerm):
     value: bool
 
@@ -172,7 +172,7 @@ CMP_NEGATION = {"<": ">=", "<=": ">", "=": "<>", "<>": "=", ">=": "<", ">": "<="
 CMP_FLIP = {"<": ">", "<=": ">=", "=": "=", "<>": "<>", ">=": "<=", ">": "<"}
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class Cmp(IndexTerm):
     """Integer comparison yielding a boolean index."""
 
@@ -184,7 +184,7 @@ class Cmp(IndexTerm):
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class Not(IndexTerm):
     arg: IndexTerm
 
@@ -192,7 +192,7 @@ class Not(IndexTerm):
         return f"not ({self.arg})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class And(IndexTerm):
     left: IndexTerm
     right: IndexTerm
@@ -201,7 +201,7 @@ class And(IndexTerm):
         return f"({self.left} /\\ {self.right})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class Or(IndexTerm):
     left: IndexTerm
     right: IndexTerm

@@ -20,26 +20,27 @@ surface index AST is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
 from repro.indices.sorts import Sort
 from repro.indices.terms import IndexTerm
 from repro.lang.source import DUMMY_SPAN, Span
+from repro.records import record
 
 # ---------------------------------------------------------------------------
 # Surface types
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class SType:
     """Base class for surface type expressions."""
 
     span: Span = field(default=DUMMY_SPAN, kw_only=True)
 
 
-@dataclass
+@record
 class STyVar(SType):
     """A type variable such as ``'a``."""
 
@@ -49,7 +50,7 @@ class STyVar(SType):
         return self.name
 
 
-@dataclass
+@record
 class STyCon(SType):
     """``(ty1, ..., tyk) name (i1, ..., im)`` — a possibly indexed
     application of a type constructor; either argument list may be
@@ -71,7 +72,7 @@ class STyCon(SType):
         return f"{prefix}{self.name}{suffix}"
 
 
-@dataclass
+@record
 class STyTuple(SType):
     """``ty1 * ... * tyn`` (n >= 2) or ``unit`` (n = 0)."""
 
@@ -86,7 +87,7 @@ class STyTuple(SType):
         )
 
 
-@dataclass
+@record
 class STyArrow(SType):
     dom: SType
     cod: SType
@@ -96,7 +97,7 @@ class STyArrow(SType):
         return f"{dom} -> {self.cod}"
 
 
-@dataclass
+@record
 class Binder:
     """One index binder ``name : sort`` inside a quantifier."""
 
@@ -108,7 +109,7 @@ class Binder:
         return f"{self.name}:{self.sort}"
 
 
-@dataclass
+@record
 class STyPi(SType):
     """``{a1:s1, ..., ak:sk | guard} ty`` — dependent function space.
 
@@ -125,7 +126,7 @@ class STyPi(SType):
         return f"{{{binders}{guard}}} {self.body}"
 
 
-@dataclass
+@record
 class STySig(SType):
     """``[a1:s1, ..., ak:sk | guard] ty`` — existential dependent type."""
 
@@ -144,18 +145,18 @@ class STySig(SType):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Pattern:
     span: Span = field(default=DUMMY_SPAN, kw_only=True)
 
 
-@dataclass
+@record
 class PWild(Pattern):
     def __str__(self) -> str:
         return "_"
 
 
-@dataclass
+@record
 class PVar(Pattern):
     name: str
 
@@ -163,7 +164,7 @@ class PVar(Pattern):
         return self.name
 
 
-@dataclass
+@record
 class PInt(Pattern):
     value: int
 
@@ -171,7 +172,7 @@ class PInt(Pattern):
         return str(self.value)
 
 
-@dataclass
+@record
 class PBool(Pattern):
     value: bool
 
@@ -179,7 +180,7 @@ class PBool(Pattern):
         return "true" if self.value else "false"
 
 
-@dataclass
+@record
 class PTuple(Pattern):
     items: list[Pattern]
 
@@ -187,7 +188,7 @@ class PTuple(Pattern):
         return "(" + ", ".join(str(p) for p in self.items) + ")"
 
 
-@dataclass
+@record
 class PCon(Pattern):
     """Constructor pattern; ``arg`` is ``None`` for nullary
     constructors.  ``x :: xs`` parses as ``PCon("::", PTuple([x, xs]))``."""
@@ -209,12 +210,12 @@ class PCon(Pattern):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Expr:
     span: Span = field(default=DUMMY_SPAN, kw_only=True)
 
 
-@dataclass
+@record
 class EInt(Expr):
     value: int
 
@@ -222,7 +223,7 @@ class EInt(Expr):
         return str(self.value)
 
 
-@dataclass
+@record
 class EBool(Expr):
     value: bool
 
@@ -230,13 +231,13 @@ class EBool(Expr):
         return "true" if self.value else "false"
 
 
-@dataclass
+@record
 class EUnit(Expr):
     def __str__(self) -> str:
         return "()"
 
 
-@dataclass
+@record
 class EVar(Expr):
     name: str
 
@@ -244,7 +245,7 @@ class EVar(Expr):
         return self.name
 
 
-@dataclass
+@record
 class ECon(Expr):
     """A datatype constructor used as an expression."""
 
@@ -254,7 +255,7 @@ class ECon(Expr):
         return self.name
 
 
-@dataclass
+@record
 class EApp(Expr):
     fn: Expr
     arg: Expr
@@ -263,7 +264,7 @@ class EApp(Expr):
         return f"{self.fn} {_atom_str(self.arg)}"
 
 
-@dataclass
+@record
 class ETuple(Expr):
     items: list[Expr]
 
@@ -271,7 +272,7 @@ class ETuple(Expr):
         return "(" + ", ".join(str(e) for e in self.items) + ")"
 
 
-@dataclass
+@record
 class EIf(Expr):
     cond: Expr
     then: Expr
@@ -281,7 +282,7 @@ class EIf(Expr):
         return f"if {self.cond} then {self.then} else {self.els}"
 
 
-@dataclass
+@record
 class EAndAlso(Expr):
     left: Expr
     right: Expr
@@ -290,7 +291,7 @@ class EAndAlso(Expr):
         return f"({self.left} andalso {self.right})"
 
 
-@dataclass
+@record
 class EOrElse(Expr):
     left: Expr
     right: Expr
@@ -299,7 +300,7 @@ class EOrElse(Expr):
         return f"({self.left} orelse {self.right})"
 
 
-@dataclass
+@record
 class ELet(Expr):
     decls: list["Decl"]
     body: Expr
@@ -309,7 +310,7 @@ class ELet(Expr):
         return f"let {decls} in {self.body} end"
 
 
-@dataclass
+@record
 class ECase(Expr):
     scrutinee: Expr
     clauses: list[tuple[Pattern, Expr]]
@@ -319,7 +320,7 @@ class ECase(Expr):
         return f"(case {self.scrutinee} of {arms})"
 
 
-@dataclass
+@record
 class EFn(Expr):
     param: Pattern
     body: Expr
@@ -328,7 +329,7 @@ class EFn(Expr):
         return f"(fn {self.param} => {self.body})"
 
 
-@dataclass
+@record
 class ERaise(Expr):
     """``raise e`` — raises the exception value ``e`` (type ``exn``)."""
 
@@ -338,7 +339,7 @@ class ERaise(Expr):
         return f"raise {self.expr}"
 
 
-@dataclass
+@record
 class EHandle(Expr):
     """``e handle p1 => e1 | ...`` — exception handler.
 
@@ -353,7 +354,7 @@ class EHandle(Expr):
         return f"({self.expr} handle {arms})"
 
 
-@dataclass
+@record
 class ESeq(Expr):
     """``(e1; e2; ...; en)`` — evaluate all, yield the last value."""
 
@@ -363,7 +364,7 @@ class ESeq(Expr):
         return "(" + "; ".join(str(e) for e in self.items) + ")"
 
 
-@dataclass
+@record
 class EAnnot(Expr):
     """``e : ty`` — a checking-mode type ascription."""
 
@@ -385,12 +386,12 @@ def _atom_str(expr: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Decl:
     span: Span = field(default=DUMMY_SPAN, kw_only=True)
 
 
-@dataclass
+@record
 class Clause:
     """One ``fun`` clause: ``f p1 ... pk = body``.
 
@@ -403,7 +404,7 @@ class Clause:
     span: Span = field(default=DUMMY_SPAN, kw_only=True)
 
 
-@dataclass
+@record
 class FunBinding:
     """One binding of a (possibly mutually recursive) ``fun`` group."""
 
@@ -418,7 +419,7 @@ class FunBinding:
     span: Span = field(default=DUMMY_SPAN, kw_only=True)
 
 
-@dataclass
+@record
 class DFun(Decl):
     bindings: list[FunBinding]
 
@@ -427,7 +428,7 @@ class DFun(Decl):
         return f"fun {names} ..."
 
 
-@dataclass
+@record
 class DVal(Decl):
     pat: Pattern
     expr: Expr
@@ -438,7 +439,7 @@ class DVal(Decl):
         return f"val {self.pat} = {self.expr}"
 
 
-@dataclass
+@record
 class ConDef:
     """One constructor in a ``datatype`` declaration."""
 
@@ -447,7 +448,7 @@ class ConDef:
     span: Span = field(default=DUMMY_SPAN, kw_only=True)
 
 
-@dataclass
+@record
 class DDatatype(Decl):
     name: str
     tyvars: list[str]
@@ -457,7 +458,7 @@ class DDatatype(Decl):
         return f"datatype {self.name}"
 
 
-@dataclass
+@record
 class RefClause:
     """One ``con <| ty`` clause of a ``typeref`` declaration."""
 
@@ -466,7 +467,7 @@ class RefClause:
     span: Span = field(default=DUMMY_SPAN, kw_only=True)
 
 
-@dataclass
+@record
 class DTyperef(Decl):
     """``typeref 'a list of nat with nil <| ... | :: <| ...``."""
 
@@ -478,7 +479,7 @@ class DTyperef(Decl):
         return f"typeref {self.tycon}"
 
 
-@dataclass
+@record
 class DAssert(Decl):
     """``assert name <| ty and name2 <| ty2 ...`` — trusted dependent
     signatures for pervasives (Section 2.1)."""
@@ -490,7 +491,7 @@ class DAssert(Decl):
         return f"assert {names}"
 
 
-@dataclass
+@record
 class DException(Decl):
     """``exception Name [of ty]`` — declares a constructor of the
     built-in ``exn`` type (Section 6's first future-work item)."""
@@ -502,7 +503,7 @@ class DException(Decl):
         return f"exception {self.name}"
 
 
-@dataclass
+@record
 class DTypeAbbrev(Decl):
     """``type name = ty`` — a transparent abbreviation (Figure 5's
     ``intPrefix``)."""
@@ -514,7 +515,7 @@ class DTypeAbbrev(Decl):
         return f"type {self.name} = {self.ty}"
 
 
-@dataclass
+@record
 class Program:
     decls: list[Decl]
     span: Span = field(default=DUMMY_SPAN, kw_only=True)

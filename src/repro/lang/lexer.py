@@ -17,10 +17,10 @@ them every character must belong to a token or be ASCII whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.lang.errors import LexError
 from repro.lang.source import SourceFile, Span
+from repro.records import record
 
 KEYWORDS = frozenset(
     {
@@ -90,7 +90,7 @@ SYMBOLS = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # "INT", "ID", "TYVAR", "EOF", a keyword, or a symbol
     text: str

@@ -9,10 +9,12 @@ paper's prototype reports unsolved constraints back to the programmer.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from repro.records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Span:
     """A half-open byte range ``[start, end)`` in a source file."""
 
@@ -31,7 +33,7 @@ class Span:
 DUMMY_SPAN = Span(0, 0)
 
 
-@dataclass
+@record
 class SourceFile:
     """Source text plus a lazily built line index for error reporting."""
 

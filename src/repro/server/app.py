@@ -39,10 +39,10 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from dataclasses import dataclass
 from typing import Awaitable, Callable
 
 from repro.lang.errors import DMLError
+from repro.records import record
 from repro.server.protocol import (
     MAX_BODY_BYTES,
     NDJSON_CONTENT_TYPE,
@@ -81,7 +81,7 @@ def _encode(status: int, payload: dict, close: bool) -> bytes:
     return head.encode("latin-1") + body
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Request:
     """One parsed request, body fully consumed (so answering an error
     and keeping the connection alive is always framing-safe)."""
@@ -102,7 +102,7 @@ class _Request:
         return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _BatchStream:
     """A handler's request to stream batch results instead of
     returning one buffered payload."""

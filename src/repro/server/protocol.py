@@ -20,10 +20,10 @@ unharmed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.api import CheckReport
 from repro.compile.dialects import dialect_summary
+from repro.records import record
 from repro.solver.backends import backend_names
 from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 
@@ -63,7 +63,7 @@ class ProtocolError(ValueError):
         self.status = status
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckRequest:
     """One validated ``/check`` request.
 

@@ -41,11 +41,12 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from repro import api
 from repro.driver.store import DEFAULT_CACHE_DIR, DEFAULT_STORE, open_store
 from repro.lang.errors import DMLError
+from repro.records import record
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     CheckRequest,
@@ -83,7 +84,7 @@ class RemoteCheckError(DMLError):
         return self.rendered
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ServerConfig:
     """Knobs of one daemon instance (CLI: ``repro serve``)."""
 

@@ -42,12 +42,13 @@ import queue
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, field
 from typing import TYPE_CHECKING
 
 from repro import api
 from repro.driver.store import open_store
 from repro.lang.errors import DMLError
+from repro.records import record
 from repro.server.protocol import check_response
 from repro.solver.budget import SolverLimits
 from repro.solver.portfolio import SolverCache, SolverTelemetry
@@ -166,7 +167,7 @@ def _worker_main(
     conn.close()
 
 
-@dataclass
+@record
 class _Worker:
     """Parent-side view of one pooled process."""
 

@@ -31,15 +31,15 @@ check`` with the default backend never loads the rest;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 from typing import Callable, Sequence
 
 from repro.indices.linear import Atom
+from repro.records import record
 from repro.solver import fourier
 
 
-@dataclass
+@record
 class Backend:
     """A named decision procedure for conjunctions of linear atoms."""
 

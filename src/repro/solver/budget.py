@@ -45,8 +45,9 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
+
+from repro.records import record
 
 #: How many steps may pass between deadline polls.  Checking the clock
 #: on every spend would double the cost of the hot decrement; one poll
@@ -67,7 +68,7 @@ class BudgetExhausted(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolverLimits:
     """Per-goal resource knobs (CLI: ``--budget`` / ``--goal-timeout``).
 
@@ -214,3 +215,14 @@ def resolve_budget(budget: Budget | None) -> Budget | None:
     """The budget a backend should spend from: the explicit one when
     given, else the ambient one, else ``None`` (unlimited)."""
     return budget if budget is not None else current_budget()
+
+
+def fail_soft_lines(budget_exhausted: int, contained_crashes: int) -> list[str]:
+    """The report line for goals that degraded fail-soft, or none when
+    no goal did (``CheckReport.summary`` and the corpus report)."""
+    if not (budget_exhausted or contained_crashes):
+        return []
+    return [
+        f"fail-soft:        {budget_exhausted} budget-exhausted goal(s), "
+        f"{contained_crashes} contained crash(es) (checks kept)"
+    ]

@@ -16,14 +16,14 @@ indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.indices.terms import EvarStore
+from repro.records import record
 from repro.solver.bruteforce import find_model
 from repro.solver.simplify import Goal, UnsupportedGoal, goal_atom_sets
 
 
-@dataclass
+@record
 class Counterexample:
     """A concrete scenario violating a proof goal."""
 

@@ -29,14 +29,14 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.indices.linear import Atom, LinComb, LinVar
+from repro.records import record
 from repro.solver.budget import Budget, BudgetExhausted, resolve_budget
 
 
-@dataclass
+@record
 class FourierStats:
     """Operation counters for the benchmark harness.
 
@@ -53,7 +53,7 @@ class FourierStats:
     roundings: int = 0
 
 
-@dataclass
+@record
 class FourierConfig:
     """Tuning knobs, primarily for the ablation benchmarks."""
 
@@ -358,7 +358,7 @@ def _eliminate_loop(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrefixState:
     """Fourier elimination state presolved for a shared atom prefix.
 

@@ -34,14 +34,14 @@ paper would have lost by choosing an even simpler method than Fourier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.indices.linear import Atom, LinComb, LinVar
+from repro.records import record
 from repro.solver.budget import Budget, BudgetExhausted, resolve_budget
 
 
-@dataclass
+@record
 class IntervalStats:
     tightenings: int = 0
     passes: int = 0

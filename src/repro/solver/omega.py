@@ -29,11 +29,11 @@ The algorithm:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import floor
 from typing import Sequence
 
 from repro.indices.linear import Atom, LinComb, LinVar
+from repro.records import record
 from repro.solver.budget import Budget, BudgetExhausted, resolve_budget
 
 #: Backwards-compatible alias: exhaustion is now the solver-wide
@@ -42,14 +42,14 @@ from repro.solver.budget import Budget, BudgetExhausted, resolve_budget
 OmegaBudgetExceeded = BudgetExhausted
 
 
-@dataclass
+@record
 class OmegaStats:
     equality_steps: int = 0
     shadow_steps: int = 0
     splinters: int = 0
 
 
-@dataclass
+@record
 class OmegaConfig:
     #: Per-call step cap.  When a goal-level budget is active this
     #: becomes a sub-budget of it, so one omega call can never spend

@@ -33,11 +33,12 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from repro.indices.linear import Atom
+from repro.records import record
 from repro.solver.backends import Backend, get_backend
 from repro.solver.budget import current_budget
 
@@ -238,7 +239,7 @@ class SolverCache:
             self._hit_keys.clear()
 
 
-@dataclass
+@record
 class SolverTelemetry:
     """Aggregate solver-layer statistics for one run (or one shared
     accumulation — pass the same instance to several checks)."""
@@ -298,14 +299,22 @@ class SolverTelemetry:
         for tier, seconds in other.tier_seconds.items():
             self.tier_seconds[tier] = self.tier_seconds.get(tier, 0.0) + seconds
 
+    @property
+    def consulted_cache(self) -> bool:
+        """Did any query go to a solver cache?  (Every query does when
+        one is attached.)"""
+        return bool(self.cache_hits or self.cache_misses)
+
     def lines(self) -> list[str]:
         """Human-readable summary block (``CheckReport.summary`` and
         the CLI append these)."""
-        out = [
-            f"solver queries:   {self.queries} ({self.unsat} unsat), cache "
-            f"{self.cache_hits} hit(s) / {self.cache_misses} miss(es) / "
+        cache = (
+            f"cache {self.cache_hits} hit(s) / {self.cache_misses} miss(es) / "
             f"{self.cache_evictions} eviction(s)"
-        ]
+            if self.consulted_cache
+            else "cache off"
+        )
+        out = [f"solver queries:   {self.queries} ({self.unsat} unsat), {cache}"]
         for tier in sorted(set(self.decisions) | set(self.tier_seconds)):
             decided = self.decisions.get(tier, 0)
             seconds = self.tier_seconds.get(tier, 0.0)
@@ -319,12 +328,6 @@ class SolverTelemetry:
                 f"{self.atoms_before} -> {self.atoms_after}, "
                 f"{self.subsumption_hits} subsumption hit(s), "
                 f"{self.prefix_reuses} prefix reuse(s)"
-            )
-        if self.budget_exhausted or self.contained_crashes:
-            out.append(
-                f"fail-soft:        {self.budget_exhausted} "
-                f"budget-exhausted goal(s), {self.contained_crashes} "
-                f"contained crash(es) (checks kept)"
             )
         return out
 

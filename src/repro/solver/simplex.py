@@ -17,15 +17,15 @@ termination).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from repro.indices.linear import Atom, LinVar
+from repro.records import record
 from repro.solver.budget import Budget, BudgetExhausted, resolve_budget
 
 
-@dataclass
+@record
 class SimplexStats:
     pivots: int = 0
 

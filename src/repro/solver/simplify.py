@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,6 +65,7 @@ from repro.indices.terms import (
     UnOp,
 )
 from repro.lang.source import DUMMY_SPAN, Span
+from repro.records import record
 from repro.solver.backends import Backend, get_backend
 from repro.solver.budget import (
     DEFAULT_LIMITS,
@@ -77,7 +77,7 @@ from repro.solver.budget import (
 )
 
 
-@dataclass
+@record
 class Goal:
     """``forall rigid. hyps ==> concl`` with provenance."""
 
@@ -97,7 +97,7 @@ class Goal:
         return f"{quant}{self.concl}"
 
 
-@dataclass
+@record
 class GoalResult:
     goal: Goal
     proved: bool
@@ -111,7 +111,7 @@ class GoalResult:
     crashed: bool = False
 
 
-@dataclass
+@record
 class SolveStats:
     """Aggregate statistics for one program (feeds Table 1)."""
 

@@ -59,10 +59,10 @@ triggers it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.indices.linear import Atom, LinVar
+from repro.records import record
 from repro.solver import fourier
 from repro.solver.backends import Backend
 from repro.solver.budget import current_budget
@@ -78,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PREFIX_BACKENDS = frozenset({"fourier", "portfolio", "differential"})
 
 
-@dataclass
+@record
 class SlicedSystem:
     """The component decomposition of one goal case.
 

@@ -8,15 +8,16 @@ quantifiers beyond prenex ML polymorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
+
+from repro.records import record
 
 
 class MLType:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MLVar(MLType):
     """A unification variable; solutions live in the inferencer."""
 
@@ -26,7 +27,7 @@ class MLVar(MLType):
         return f"'_{self.uid}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MLRigid(MLType):
     """A scheme-bound type variable such as ``'a``."""
 
@@ -36,7 +37,7 @@ class MLRigid(MLType):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MLCon(MLType):
     """``(args) name`` — ``int``, ``bool``, ``'a array``, datatypes..."""
 
@@ -52,7 +53,7 @@ class MLCon(MLType):
         return f"({inner}) {self.name}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MLTuple(MLType):
     items: tuple[MLType, ...] = ()
 
@@ -65,7 +66,7 @@ class MLTuple(MLType):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MLArrow(MLType):
     dom: MLType
     cod: MLType
@@ -75,7 +76,7 @@ class MLArrow(MLType):
         return f"{dom} -> {self.cod}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MLScheme:
     """``forall 'a1 ... 'an. ty``."""
 

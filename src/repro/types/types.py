@@ -20,12 +20,12 @@ Representation decisions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.indices import terms
 from repro.indices.sorts import Sort
 from repro.indices.terms import IndexTerm
+from repro.records import record
 from repro.types import map_items
 
 
@@ -35,7 +35,7 @@ class DType:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DTyVar(DType):
     """A rigid type variable (``'a``), bound by a :class:`DScheme`."""
 
@@ -45,7 +45,7 @@ class DTyVar(DType):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DMeta(DType):
     """A type unification variable introduced at instantiation."""
 
@@ -56,7 +56,7 @@ class DMeta(DType):
         return f"{self.hint}${self.uid}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DBase(DType):
     """``(tyargs) name (iargs)`` — an indexed base-family application."""
 
@@ -76,7 +76,7 @@ class DBase(DType):
         return f"{prefix}{self.name}{suffix}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DTuple(DType):
     items: tuple[DType, ...] = ()
 
@@ -92,7 +92,7 @@ class DTuple(DType):
 UNIT = DTuple(())
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DArrow(DType):
     dom: DType
     cod: DType
@@ -102,7 +102,7 @@ class DArrow(DType):
         return f"{dom} -> {self.cod}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DPi(DType):
     """``{a1:s1, ..., ak:sk | guard} body``."""
 
@@ -116,7 +116,7 @@ class DPi(DType):
         return f"{{{binders}{guard}}} {self.body}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DSig(DType):
     """``[a1:s1, ..., ak:sk | guard] body``."""
 
@@ -130,7 +130,7 @@ class DSig(DType):
         return f"[{binders}{guard}] {self.body}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DScheme:
     """ML-style polymorphism: ``forall 'a1 ... 'an . tau``."""
 

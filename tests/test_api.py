@@ -1,10 +1,13 @@
 """Tests for the public pipeline API."""
 
+import re
+
 import pytest
 
 from repro import api
 from repro.lang.errors import UnsolvedConstraint
 from repro.solver.backends import get_backend
+from repro.solver.portfolio import SolverCache
 
 GOOD = (
     "fun f(a) = sub(a, 0) "
@@ -74,6 +77,20 @@ class TestCheck:
     def test_check_corpus_unknown(self):
         with pytest.raises(FileNotFoundError):
             api.check_corpus("does-not-exist")
+
+    def test_summary_without_a_cache_says_cache_off(self):
+        text = api.check_corpus("bcopy").summary()
+        (line,) = [ln for ln in text.splitlines() if ln.startswith("solver queries:")]
+        assert line.endswith("unsat), cache off")
+        assert "canonical keys:" not in text
+
+    def test_summary_with_a_cache_reports_its_counts(self):
+        text = api.check_corpus("bcopy", cache=SolverCache()).summary()
+        assert re.search(
+            r"^solver queries:   \d+ \(\d+ unsat\), cache \d+ hit\(s\) / "
+            r"\d+ miss\(es\) / 0 eviction\(s\)$", text, re.M,
+        )
+        assert re.search(r"^canonical keys:   \d+ hit\(s\) / ", text, re.M)
 
 
 class TestEliminationPlan:

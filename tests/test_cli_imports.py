@@ -30,18 +30,16 @@ FORBIDDEN = (
     "sqlite3", "multiprocessing", "concurrent.futures",
 )
 
-# Runs the CLI as ``python -m repro.cli`` would, then reports its exit
-# code, its output and the modules it left loaded.
+# Runs the CLI's ``main`` in a fresh interpreter, then reports its exit
+# code, its output and the modules it left loaded.  (``python -m
+# repro.cli check`` itself ends with ``os._exit``; see the entry-point
+# test below.)
 _CLI_CHILD = """
-import contextlib, io, json, runpy, sys
-sys.argv = ["repro.cli", *sys.argv[1:]]
+import contextlib, io, json, sys
+from repro import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    try:
-        runpy.run_module("repro.cli", run_name="__main__", alter_sys=True)
-        code = 0
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "stdout": out.getvalue(),
                   "modules": sorted(sys.modules)}))
 """
@@ -67,6 +65,29 @@ def _counts(summary: str) -> list[str]:
     return [line for line in summary.splitlines()
             if line.startswith(("constraints:", "proof goals:",
                                 "existential vars:", "check sites:"))]
+
+
+# Counts the audit events for compiling source text ("<string>": code
+# built by exec or eval) while the check path imports.
+_COMPILES_AT_IMPORT = """
+import json, sys
+compiles = []
+sys.addaudithook(
+    lambda event, args: event == "compile" and args[1] == "<string>"
+    and compiles.append(1)
+)
+import repro.cli, repro.api
+print(json.dumps({"compiles": len(compiles)}))
+"""
+
+
+def test_check_path_import_compiles_no_per_class_code():
+    # ``@dataclass`` compiled about four methods per record class as
+    # the module imported: 408 for the check path's 105 classes.
+    # ``@record`` compiles each on its first call; what is left is the
+    # constructors of module-level constants and the standard library's
+    # named tuples (25 on CPython 3.11).
+    assert _child(_COMPILES_AT_IMPORT)["compiles"] <= 50
 
 
 @pytest.mark.parametrize("command", ["check", "goals"])
@@ -96,6 +117,26 @@ def test_lazily_imported_backends_still_check(backend):
         "existential vars: 0 solved",
         f"check sites:      12 ({eliminable} eliminable)",
     ]
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    (["check", BCOPY], 0, 9),
+    (["check", BCOPY, "--backend", "interval"], 1, 9 + 14),
+    (["goals", BCOPY], 0, 51),
+    (["check", "no-such.dml"], 2, 0),
+])
+def test_entry_point_flushes_output_and_keeps_the_exit_code(argv, code, lines):
+    # check and goals skip interpreter teardown (os._exit) once their
+    # output is flushed: every line must still arrive, block-buffered.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stdout.splitlines()) == lines
+    assert proc.stdout.endswith("\n") if lines else proc.stderr.startswith("error: ")
 
 
 # Preloads a backend, then checks a program with it and reports the

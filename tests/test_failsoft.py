@@ -7,9 +7,11 @@ run-time checks* with recorded reasons — no exception ever reaches a
 down a batch.
 """
 
+from pathlib import Path
+
 import pytest
 
-from repro import api, driver
+from repro import api, driver, programs
 from repro.cli import main
 from repro.solver import backends, fourier
 from repro.solver.backends import Backend
@@ -169,6 +171,21 @@ class TestCliDegradation:
         assert "fail-soft" in out
         assert "budget exhausted" in out
         assert "0 eliminable" in out
+
+    def test_partly_exhausted_check_prints_one_fail_soft_line(self, capsys):
+        # bcopy under 40 steps: some goals prove, others run out, and
+        # the solver-telemetry block is printed too.
+        bcopy = str(Path(programs.__file__).with_name("bcopy.dml"))
+        assert main(["check", bcopy, "--budget", "40"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("solver queries:") for line in lines)
+        goals = next(line for line in lines if line.startswith("proof goals:"))
+        proved = int(goals.split("(")[1].split()[0])
+        assert 0 < proved < 51
+        assert [line for line in lines if line.startswith("fail-soft:")] == [
+            f"fail-soft:        {51 - proved} budget-exhausted goal(s), "
+            "0 contained crash(es) (checks kept)"
+        ]
 
     def test_check_budget_zero_lifts_the_cap(self, adversarial_file, capsys):
         assert main(["check", adversarial_file, "--budget", "0"]) == 0
