@@ -305,7 +305,8 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    def timed(sites: set) -> tuple[float, object]:
+    def timed(sites: set) -> tuple[float, tuple]:
+        """Best time, and the last call's result and argument state."""
         mod = compile_program(report.program, report.env, sites,
                               prog_name, dialect=dialect)
         mod.load()
@@ -315,7 +316,7 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
             started = _time.perf_counter()
             last = mod.call(entry, *call_args)
             best = min(best, _time.perf_counter() - started)
-        return best, last
+        return best, dialect.extract_value((last, call_args))
 
     size_note = (
         f"scale {args.scale}" if args.scale is not None
@@ -324,14 +325,15 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
     print(f"compile-and-run {prog_name} (dialect {dialect.name}, "
           f"entry {entry}, {size_note})")
 
-    unchecked_t, raw_result = timed(plan.unchecked)
-    extracted = dialect.extract_value(raw_result)
+    unchecked_t, outcome = timed(plan.unchecked)
+    extracted = outcome[0]
     ok = workload.validate(extracted, params) if workload and params else True
     kept = len(plan.sites) - len(plan.unchecked)
     print(f"  unchecked : {unchecked_t:.3f} s  "
           f"({len(plan.unchecked)} site(s) unchecked, {kept} kept)")
     if not args.no_baseline:
-        checked_t, _ = timed(set())
+        checked_t, checked_outcome = timed(set())
+        ok = ok and checked_outcome == outcome  # both builds agree
         gain = ((checked_t - unchecked_t) / checked_t * 100.0
                 if checked_t > 0 else 0.0)
         print(f"  checked   : {checked_t:.3f} s  (every check kept)")
@@ -345,7 +347,7 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
         counter_mod.call(entry, *build_args())
         print(f"  counts    : {support.COUNTERS.performed:,} performed, "
               f"{support.COUNTERS.eliminated:,} eliminated")
-    if workload and params:
+    if workload and params or not ok:
         print(f"  result    : {'ok' if ok else 'MISMATCH'}")
     else:
         text = repr(extracted)

@@ -92,6 +92,12 @@ class Dialect(ABC):
         """An array write ``update(array, index, value)`` (evaluates to
         unit)."""
 
+    #: ``emit_store(array, index, value)``: an unchecked write as a
+    #: statement, used where the write's unit is discarded.  ``None``
+    #: means the dialect has no such form and every write stays an
+    #: :meth:`emit_write` call.
+    emit_store: Any = None
+
     def emit_length(self, array: str) -> str:
         return f"len({array})"
 

@@ -136,6 +136,9 @@ class NumpyDialect(PlainDialect):
         helper = "_updc_np" if checked else "_upd_np"
         return f"{helper}({array}, {index}, {value})"
 
+    #: Writes repack on overflow, so none becomes a bare store.
+    emit_store = None
+
     def emit_length(self, array: str) -> str:
         return f"len({parens(array)}.buf)"
 

@@ -107,6 +107,9 @@ class PackedDialect(PlainDialect):
         helper = "_updc_pk" if checked else "_upd_pk"
         return f"{helper}({array}, {index}, {value})"
 
+    #: Writes repack on overflow, so none becomes a bare store.
+    emit_store = None
+
     def emit_length(self, array: str) -> str:
         return f"len({parens(array)}.buf)"
 

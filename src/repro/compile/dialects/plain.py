@@ -1,9 +1,10 @@
 """The ``plain`` dialect: Python lists, the parity baseline.
 
-This reproduces exactly what the monolithic code generator emitted
-before the dialect split — arrays are Python lists, a proved read is a
-bare ``a[i]``, an unproved one calls the checked ``_subc`` helper.
-Every other dialect is differentially tested against this one.
+Arrays are Python lists.  A proved read is a bare ``a[i]``, and a
+proved write whose unit is discarded is a bare ``a[i] = v``
+(:meth:`PlainDialect.emit_store`); an unproved access calls the
+checked ``_subc``/``_updc`` helper.  Every other dialect is
+differentially tested against this one.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ class PlainDialect(Dialect):
                    checked: bool) -> str:
         helper = "_updc" if checked else "_upd"
         return f"{helper}({array}, {index}, {value})"
+
+    def emit_store(self, array: str, index: str, value: str) -> str:
+        return f"{parens(array)}[{index}] = {value}"
 
     def emit_make(self, size: str, init: str) -> str:
         return f"([{init}] * {size})"

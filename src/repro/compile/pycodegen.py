@@ -27,13 +27,30 @@ Core code-generation decisions:
   pairs, other nullary constructors their tag string, unary ones
   ``(tag, value)`` pairs — identical across dialects;
 * **self-tail-recursive** functions compile to ``while`` loops
-  regardless of arity (multi-parameter loops reassign all loop
-  variables in one tuple assignment), since CPython has no tail-call
-  optimization and the corpus drives million-iteration loops — a
-  self-call only loops when it is *saturated* (all parameters applied)
-  and in tail position;
-* every binder gets a fresh versioned Python name, making ML shadowing
-  and branch-local ``let``s safe in Python's function-level scope.
+  regardless of arity, since CPython has no tail-call optimization and
+  the corpus drives million-iteration loops — a self-call only loops
+  when it is *saturated* (all parameters applied) and in tail
+  position.  A tail call assigns, in one simultaneous assignment, only
+  the loop locals that change;
+* a parameter that is a tuple pattern of one width in every clause is
+  matched on **one local per component**: a loop's tail call assigns
+  a tuple literal's items to them (and unpacks any other argument), so
+  no argument tuple is built or read per iteration;
+* a ``let``-declared function of one tuple parameter whose name only
+  ever appears as the function of a direct application takes **flat
+  parameters** ``def f(x1, …, xk)`` (see :func:`_flat_funs`); every
+  other function, and every top-level one, takes one tuple;
+* an eliminated ``update`` whose unit is discarded (a non-final ``;``
+  item or a tail write) is the dialect's **store statement** where it
+  has one (``a[i] = v`` in ``plain``), just as an eliminated read is
+  ``a[i]``;
+* every binder, local functions included, gets a fresh versioned Python
+  name, making ML shadowing and branch-local ``let``s safe in Python's
+  function-level scope; only top-level functions keep their
+  unversioned :func:`mangle` names;
+* closures made inside a loop body are built by a factory def that
+  takes the current values of the enclosing locals, because a Python
+  closure would see the loop's later reassignments.
 """
 
 from __future__ import annotations
@@ -161,6 +178,12 @@ class PyCodegen:
         self._name_version = itertools.count(1)
         #: Builtin names referenced as first-class values.
         self._value_builtins: set[str] = set()
+        #: Python names of local functions that take flat parameters.
+        self._flat: set[str] = set()
+        #: Python names bound at module level.
+        self._globals: set[str] = set()
+        #: Is code being emitted inside a loop body of the current def?
+        self._in_loop = False
 
     # -- public -------------------------------------------------------------
 
@@ -170,6 +193,7 @@ class PyCodegen:
         scope: dict[str, str] = {}
         for decl in program.decls:
             self.compile_decl(decl, scope)
+            self._globals.update(scope.values())
         header = [f'"""Generated by repro.compile.pycodegen from {name}."""']
         header.append(_PRELUDE)
         dialect_prelude = self.dialect.prelude()
@@ -182,7 +206,19 @@ class PyCodegen:
 
     # -- declarations ----------------------------------------------------------
 
-    def compile_decl(self, decl: ast.Decl, scope: dict[str, str]) -> None:
+    def compile_decl(
+        self,
+        decl: ast.Decl,
+        scope: dict[str, str],
+        flat: frozenset[str] | None = None,
+    ) -> None:
+        """Compile one declaration into ``scope``.
+
+        ``flat`` is None for a top-level declaration, whose functions
+        keep their unversioned names (``GeneratedModule.call`` finds
+        them by :func:`mangle`).  For a ``let`` declaration it names the
+        let's functions that take flat parameters (:func:`_flat_funs`).
+        """
         if isinstance(decl, (ast.DDatatype, ast.DTyperef, ast.DAssert,
                              ast.DTypeAbbrev, ast.DException)):
             return
@@ -193,16 +229,59 @@ class PyCodegen:
         if isinstance(decl, ast.DFun):
             # Pre-bind names so mutually recursive references resolve.
             for binding in decl.bindings:
-                scope[binding.name] = mangle(binding.name)
+                if flat is None:
+                    scope[binding.name] = mangle(binding.name)
+                    self._globals.add(scope[binding.name])
+                elif binding.name in flat:
+                    self._flat.add(self._fresh_name(binding.name, scope))
+                else:
+                    self._fresh_name(binding.name, scope)
+            if self._in_loop:
+                # Defs made in a loop body would see later iterations'
+                # values of the loop's locals, so a factory fixes them.
+                names = ", ".join(scope[b.name] for b in decl.bindings)
+
+                def group() -> str:
+                    for binding in decl.bindings:
+                        self.compile_fun(binding, scope)
+                    return names
+
+                own = {scope[b.name] for b in decl.bindings}
+                self.out.emit(f"{names} = {self._via_factory(group, scope, own)}")
+                return
             for binding in decl.bindings:
                 self.compile_fun(binding, scope)
             return
         raise AssertionError(f"unknown declaration {decl!r}")
 
+    def _compile_let_decls(self, expr: ast.ELet, scope: dict[str, str]) -> dict[str, str]:
+        """Compile a ``let``'s declarations; returns the body's scope."""
+        inner = dict(scope)
+        flat = _flat_funs(expr)
+        for decl in expr.decls:
+            self.compile_decl(decl, inner, flat)
+        return inner
+
+    def _via_factory(self, build, scope: dict[str, str],
+                     own: frozenset[str] | set[str] = frozenset()) -> str:
+        """Emit a factory def around the closure(s) ``build`` emits and
+        returns; returns a call of it passing the current value of
+        every local in ``scope`` (``own`` names are made inside)."""
+        fname = f"_mk{next(self._temp)}"
+        params = ", ".join(sorted(set(scope.values()) - own - self._globals))
+        self.out.emit(f"def {fname}({params}):")
+        in_loop, self._in_loop = self._in_loop, False
+        with self.out.block():
+            self.out.emit(f"return {build()}")
+        self._in_loop = in_loop
+        return f"{fname}({params})"
+
     def compile_fun(self, binding: ast.FunBinding, scope: dict[str, str]) -> None:
         name = scope[binding.name]
         arity = len(binding.clauses[0].params)
+        in_loop, self._in_loop = self._in_loop, False
         self._emit_fun_levels(binding, name, arity, scope)
+        self._in_loop = in_loop
         self.out.emit()
 
     def _emit_fun_levels(
@@ -212,58 +291,101 @@ class PyCodegen:
         arity: int,
         scope: dict[str, str],
     ) -> None:
-        """Emit nested defs for a curried function of given arity."""
+        """Emit nested defs for a curried function of given arity.
+
+        A parameter position that is a tuple pattern of the same width
+        in every clause is matched on one local per component.  A
+        function with flat parameters takes those locals as its own
+        parameters; otherwise the innermost def unpacks its tuple
+        argument into them.
+        """
         uid = next(self._temp)
         arg_names = [f"_a{uid}_{i + 1}" for i in range(arity)]
         self_loop = _is_self_tail_recursive(binding, arity)
+        subjects: list[str | list[str]] = [
+            self._component_locals(binding, pos, uid) or arg
+            for pos, arg in enumerate(arg_names)
+        ]
+        flat = name in self._flat
 
         def emit_level(level: int) -> None:
             def_name = name if level == 0 else f"_curry{level}"
-            self.out.emit(f"def {def_name}({arg_names[level]}):")
+            params = subjects[0] if flat else [arg_names[level]]
+            self.out.emit(f"def {def_name}({', '.join(params)}):")
             with self.out.block():
                 if level + 1 < arity:
                     emit_level(level + 1)
                     self.out.emit(f"return _curry{level + 1}")
                 else:
                     self._emit_clause_dispatch(
-                        binding, arg_names, scope, self_loop, uid
+                        binding, name, arg_names, subjects, scope, self_loop,
+                        uid, flat,
                     )
 
         emit_level(0)
 
+    def _component_locals(self, binding: ast.FunBinding, pos: int,
+                          uid: int) -> list[str]:
+        """One local per component of a tuple-pattern parameter (empty
+        if the position is not a tuple of one width in every clause).
+        A component takes the name of the first clause's variable
+        there, which every clause's variable at it then aliases."""
+        pats = [clause.params[pos] for clause in binding.clauses]
+        width = _tuple_width(pats)
+        names = []
+        for k in range(width):
+            var = next((p.items[k] for p in pats
+                        if isinstance(p.items[k], ast.PVar)), None)
+            names.append(
+                f"{mangle(var.name)}_{next(self._name_version)}"
+                if var is not None else f"_c{uid}_{pos + 1}_{k + 1}"
+            )
+        return names
+
     def _emit_clause_dispatch(
         self,
         binding: ast.FunBinding,
+        name: str,
         arg_names: list[str],
+        subjects: list[str | list[str]],
         outer_scope: dict[str, str],
         self_loop: bool,
-        uid: int = 0,
+        uid: int,
+        flat: bool,
     ) -> None:
-        # For a multi-parameter loop the outer curried parameters are
-        # closure variables of enclosing defs and cannot be reassigned,
-        # so each gets a fresh local loop variable; the innermost def's
-        # own parameter is directly assignable.
-        subjects = list(arg_names)
+        # Tuple positions are unpacked into their component locals
+        # unless they arrived as flat parameters.  For a multi-parameter
+        # loop the other outer curried parameters are closure variables
+        # of enclosing defs and cannot be reassigned, so each gets a
+        # fresh local loop variable; the innermost def's own parameter
+        # is directly assignable.
+        subjects = list(subjects)
+        for pos, subject in enumerate(subjects):
+            if isinstance(subject, list) and not flat:
+                self.out.emit(f"{', '.join(subject)} = {arg_names[pos]}")
+            elif self_loop and pos + 1 < len(subjects):
+                subjects[pos] = f"_l{uid}_{pos + 1}"
+                self.out.emit(f"{subjects[pos]} = {subject}")
         loop_ctx: tuple | None = None
         if self_loop:
-            if len(arg_names) > 1:
-                subjects = [
-                    f"_l{uid}_{i + 1}" for i in range(len(arg_names) - 1)
-                ] + [arg_names[-1]]
-                for loop_name, arg in zip(subjects, arg_names):
-                    if loop_name != arg:
-                        self.out.emit(f"{loop_name} = {arg}")
-            loop_ctx = ("loop", binding.name, subjects)
+            loop_ctx = (name, subjects)
             self.out.emit("while True:")
             self.out.indent += 1
+            self._in_loop = True
         for params, body_expr in [(c.params, c.body) for c in binding.clauses]:
             scope = dict(outer_scope)
             conds: list[str] = []
             binds: list[tuple[str, str]] = []
-            for pat, arg in zip(params, subjects):
-                c, b = self._pattern_parts(pat, arg, scope)
-                conds.extend(c)
-                binds.extend(b)
+            for pat, subject in zip(params, subjects):
+                pairs = (zip(pat.items, subject) if isinstance(subject, list)
+                         else [(pat, subject)])
+                for item, local in pairs:
+                    if isinstance(subject, list) and isinstance(item, ast.PVar):
+                        scope[item.name] = local
+                        continue
+                    c, b = self._pattern_parts(item, local, scope)
+                    conds.extend(c)
+                    binds.extend(b)
             if conds:
                 self.out.emit(f"if {' and '.join(conds)}:")
                 with self.out.block():
@@ -274,12 +396,12 @@ class PyCodegen:
                 for target, source in binds:
                     self.out.emit(f"{target} = {source}")
                 self._compile_stmt(body_expr, scope, loop_ctx)
-                if self_loop:
-                    self.out.indent -= 1
-                return  # irrefutable clause: no fallthrough possible
-        self.out.emit(f'_match_fail("{binding.name}")')
+                break  # irrefutable clause: no fallthrough possible
+        else:
+            self.out.emit(f'_match_fail("{binding.name}")')
         if self_loop:
             self.out.indent -= 1
+            self._in_loop = False
 
     # -- statements --------------------------------------------------------
 
@@ -313,15 +435,12 @@ class PyCodegen:
             self.out.emit('_match_fail("case")')
             return
         if isinstance(expr, ast.ELet):
-            inner = dict(scope)
-            for decl in expr.decls:
-                self.compile_decl(decl, inner)
+            inner = self._compile_let_decls(expr, scope)
             self._compile_stmt(expr.body, inner, loop_ctx)
             return
         if isinstance(expr, ast.ESeq):
             for item in expr.items[:-1]:
-                value = self.compile_expr(item, scope)
-                self.out.emit(f"{value}")
+                self._emit_effect(item, scope)
             self._compile_stmt(expr.items[-1], scope, loop_ctx)
             return
         if isinstance(expr, ast.EAnnot):
@@ -336,26 +455,69 @@ class PyCodegen:
             return
         if loop_ctx is not None and isinstance(expr, ast.EApp):
             head, spine = _app_spine(expr)
+            loop_name, subjects = loop_ctx
             if (
                 isinstance(head, ast.EVar)
-                and head.name == loop_ctx[1]
-                and len(spine) == len(loop_ctx[2])
-                and scope.get(head.name) == mangle(loop_ctx[1])
+                and scope.get(head.name) == loop_name
+                and len(spine) == len(subjects)
             ):
-                # Saturated self tail call: one simultaneous (tuple)
-                # assignment — every RHS evaluates before any loop
-                # variable changes — then re-enter the dispatch loop.
-                args = [self.compile_expr(a, scope) for a in spine]
-                targets = loop_ctx[2]
-                if len(targets) == 1:
-                    self.out.emit(f"{targets[0]} = {args[0]}")
-                else:
-                    self.out.emit(
-                        f"{', '.join(targets)} = {', '.join(args)}"
-                    )
-                self.out.emit("continue")
+                self._emit_loop_step(spine, subjects, scope)
                 return
+        if self._is_store(expr, scope):
+            self._emit_effect(expr, scope)
+            self.out.emit("return ()")
+            return
         self.out.emit(f"return {self.compile_expr(expr, scope)}")
+
+    def _emit_loop_step(self, spine: list[ast.Expr], subjects: list,
+                        scope: dict[str, str]) -> None:
+        """Saturated self tail call: one simultaneous (tuple) assignment
+        of the loop locals that change — every item evaluates before
+        any local changes — then re-enter the dispatch loop.  A tuple
+        parameter takes a literal's items component-wise and unpacks
+        any other argument."""
+        targets: list[str] = []
+        values: list[str] = []
+        for arg, subject in zip(spine, subjects):
+            if isinstance(subject, str):
+                targets.append(subject)
+                values.append(self.compile_expr(arg, scope))
+            elif isinstance(arg, ast.ETuple):
+                targets.extend(subject)
+                values.extend(self.compile_expr(e, scope) for e in arg.items)
+            else:
+                targets.append(f"({', '.join(subject)})")
+                values.append(self.compile_expr(arg, scope))
+        changed = [(t, v) for t, v in zip(targets, values) if t != v]
+        if changed:
+            self.out.emit(f"{', '.join(t for t, _ in changed)} = "
+                          f"{', '.join(v for _, v in changed)}")
+        self.out.emit("continue")
+
+    def _is_store(self, expr: ast.Expr, scope: dict[str, str]) -> bool:
+        """Is ``expr`` an eliminated ``update`` the dialect can emit as
+        a store statement (instrumented builds keep their counters)?"""
+        return (
+            self.dialect.emit_store is not None
+            and not self.instrument
+            and isinstance(expr, ast.EApp)
+            and isinstance(expr.fn, ast.EVar)
+            and expr.fn.name == "update"
+            and "update" not in scope
+            and isinstance(expr.arg, ast.ETuple)
+            and getattr(expr, "site_id", None) in self.unchecked
+        )
+
+    def _emit_effect(self, expr: ast.Expr, scope: dict[str, str]) -> None:
+        """Emit ``expr`` as a statement whose value is discarded."""
+        if not self._is_store(expr, scope):
+            self.out.emit(self.compile_expr(expr, scope))
+            return
+        a, i, v = [self.compile_expr(e, scope) for e in expr.arg.items]
+        # ``a[i] = v`` evaluates v first: bind a non-atomic array or
+        # index to a temporary, so the order stays a, i, v.
+        a, i = self._ensure_atom(a), self._ensure_atom(i)
+        self.out.emit(self.dialect.emit_store(a, i, v))
 
     # -- expressions --------------------------------------------------------
 
@@ -442,15 +604,12 @@ class PyCodegen:
                 self.out.emit('_match_fail("case")')
             return
         if isinstance(expr, ast.ELet):
-            inner = dict(scope)
-            for decl in expr.decls:
-                self.compile_decl(decl, inner)
+            inner = self._compile_let_decls(expr, scope)
             self._compile_assign(expr.body, target, inner)
             return
         if isinstance(expr, ast.ESeq):
             for item in expr.items[:-1]:
-                value = self.compile_expr(item, scope)
-                self.out.emit(f"{value}")
+                self._emit_effect(item, scope)
             self._compile_assign(expr.items[-1], target, scope)
             return
         if isinstance(expr, ast.EAndAlso):
@@ -553,6 +712,11 @@ class PyCodegen:
                 arg = self.compile_expr(expr.arg, scope)
                 return f"print('true' if {arg} else 'false')"
         fn_code = self.compile_expr(fn, scope)
+        if isinstance(fn, ast.EVar) and fn_code in self._flat:
+            if isinstance(expr.arg, ast.ETuple):
+                items = [self.compile_expr(e, scope) for e in expr.arg.items]
+                return f"{fn_code}({', '.join(items)})"
+            return f"{fn_code}(*{self.compile_expr(expr.arg, scope)})"
         arg_code = self.compile_expr(expr.arg, scope)
         return f"{self._parens(fn_code)}({arg_code})"
 
@@ -605,12 +769,10 @@ class PyCodegen:
         raise AssertionError(name)
 
     def _compile_con_app(self, con: str, arg: ast.Expr, scope: dict[str, str]) -> str:
+        if con == "::" and isinstance(arg, ast.ETuple) and len(arg.items) == 2:
+            return self.compile_expr(arg, scope)
         arg_code = self.compile_expr(arg, scope)
         if con == "::":
-            if isinstance(arg, ast.ETuple) and len(arg.items) == 2:
-                head = self.compile_expr(arg.items[0], scope)
-                tail = self.compile_expr(arg.items[1], scope)
-                return f"({head}, {tail})"
             packed = self._ensure_atom(arg_code)
             return f"({packed}[0], {packed}[1])"
         return f'("{con}", {arg_code})'
@@ -636,6 +798,8 @@ class PyCodegen:
         return mangle(name)
 
     def _compile_fn(self, expr: ast.EFn, scope: dict[str, str]) -> str:
+        if self._in_loop:
+            return self._via_factory(lambda: self._compile_fn(expr, scope), scope)
         if isinstance(expr.param, ast.PVar) and not _emits_statements(expr.body):
             inner = dict(scope)
             pname = self._fresh_name(expr.param.name, inner)
@@ -853,96 +1017,142 @@ def _is_self_tail_recursive(binding: ast.FunBinding,
     tail loops); references to the name as a value, partial
     applications, and over-applications also disable it — only a
     *saturated* self-call (exactly ``arity`` arguments) in tail
-    position becomes a ``continue``.
+    position becomes a ``continue``.  Below a binder that rebinds the
+    name, occurrences refer to that binder, not to the function.
     """
     name = binding.name
     if arity is None:
         arity = len(binding.clauses[0].params)
 
-    def tail_calls_only(expr: ast.Expr, tail: bool) -> bool:
-        """True if every occurrence of ``name`` is a saturated tail
-        self-call."""
+    def rebinds(*pats: ast.Pattern) -> bool:
+        return any(name in _pat_vars(p) for p in pats)
+
+    # Every occurrence of ``name`` that refers to the binding must be a
+    # saturated tail self-call: walk (expression, in tail position)
+    # pairs, and fail on the first other occurrence.
+    calls = 0
+    todo = [(c.body, True) for c in binding.clauses if not rebinds(*c.params)]
+    while todo:
+        expr, tail = todo.pop()
         if isinstance(expr, ast.EVar):
-            return expr.name != name
-        if isinstance(expr, ast.EApp):
+            if expr.name == name:
+                return False
+        elif isinstance(expr, ast.EApp):
             head, args = _app_spine(expr)
             if isinstance(head, ast.EVar) and head.name == name:
-                return (
-                    tail
-                    and len(args) == arity
-                    and all(tail_calls_only(a, False) for a in args)
-                )
-            return tail_calls_only(head, False) and all(
-                tail_calls_only(a, False) for a in args
-            )
-        if isinstance(expr, ast.EIf):
-            return (
-                tail_calls_only(expr.cond, False)
-                and tail_calls_only(expr.then, tail)
-                and tail_calls_only(expr.els, tail)
-            )
-        if isinstance(expr, ast.ECase):
-            return tail_calls_only(expr.scrutinee, False) and all(
-                tail_calls_only(body, tail) for _, body in expr.clauses
-            )
-        if isinstance(expr, ast.ELet):
-            return all(
-                _decl_avoids(decl, name) for decl in expr.decls
-            ) and tail_calls_only(expr.body, tail)
-        if isinstance(expr, ast.ESeq):
-            return all(
-                tail_calls_only(e, False) for e in expr.items[:-1]
-            ) and tail_calls_only(expr.items[-1], tail)
-        if isinstance(expr, (ast.EAndAlso, ast.EOrElse)):
-            return tail_calls_only(expr.left, False) and tail_calls_only(
-                expr.right, False
-            )
-        if isinstance(expr, ast.ETuple):
-            return all(tail_calls_only(e, False) for e in expr.items)
-        if isinstance(expr, ast.EFn):
-            return tail_calls_only(expr.body, False)
-        if isinstance(expr, ast.EAnnot):
-            return tail_calls_only(expr.expr, tail)
-        if isinstance(expr, ast.ERaise):
-            return tail_calls_only(expr.expr, False)
-        if isinstance(expr, ast.EHandle):
+                if not tail or len(args) != arity:
+                    return False
+                calls += 1
+            else:
+                todo.append((head, False))
+            todo.extend((a, False) for a in args)
+        elif isinstance(expr, ast.EIf):
+            todo += [(expr.cond, False), (expr.then, tail), (expr.els, tail)]
+        elif isinstance(expr, ast.ECase):
+            todo.append((expr.scrutinee, False))
+            todo.extend((body, tail) for pat, body in expr.clauses
+                        if not rebinds(pat))
+        elif isinstance(expr, ast.ELet):
+            for decl in expr.decls:
+                if isinstance(decl, ast.DVal):
+                    todo.append((decl.expr, False))
+                    if rebinds(decl.pat):
+                        break
+                elif isinstance(decl, ast.DFun):
+                    if any(b.name == name for b in decl.bindings):
+                        break
+                    todo.extend((c.body, False) for b in decl.bindings
+                                for c in b.clauses if not rebinds(*c.params))
+            else:
+                todo.append((expr.body, tail))
+        elif isinstance(expr, ast.ESeq):
+            todo.extend((e, False) for e in expr.items[:-1])
+            todo.append((expr.items[-1], tail))
+        elif isinstance(expr, ast.EFn):
+            if not rebinds(expr.param):
+                todo.append((expr.body, False))
+        elif isinstance(expr, ast.EAnnot):
+            todo.append((expr.expr, tail))
+        elif isinstance(expr, ast.EHandle):
             # The handler stays armed around the body, so nothing
             # inside may become a loop continue.
-            return tail_calls_only(expr.expr, False) and all(
-                tail_calls_only(body, False) for _, body in expr.clauses
-            )
-        return True
+            todo.append((expr.expr, False))
+            todo.extend((body, False) for pat, body in expr.clauses
+                        if not rebinds(pat))
+        else:
+            todo.extend((child, False) for child in _expr_children(expr))
+    return calls > 0
 
-    def has_self_call(expr: ast.Expr) -> bool:
+
+def _pat_vars(pat: ast.Pattern) -> set[str]:
+    """The variables a pattern binds."""
+    if isinstance(pat, ast.PVar):
+        return {pat.name}
+    if isinstance(pat, ast.PTuple):
+        return set().union(*map(_pat_vars, pat.items))
+    if isinstance(pat, ast.PCon) and pat.arg is not None:
+        return _pat_vars(pat.arg)
+    return set()
+
+
+def _tuple_width(pats: list[ast.Pattern]) -> int:
+    """k if every pattern is a tuple pattern of k >= 2 items, else 0."""
+    widths = {len(p.items) if isinstance(p, ast.PTuple) else 0 for p in pats}
+    width = widths.pop()
+    return width if not widths and width >= 2 else 0
+
+
+def _flat_funs(let: ast.ELet) -> frozenset[str]:
+    """The ``let``'s functions that take flat parameters.
+
+    A function qualifies when it has one curried parameter, which is a
+    tuple pattern of the same width k >= 2 in every clause, and every
+    occurrence of its name in the let (declarations and body) is the
+    function of a direct application, with nothing in the let binding
+    the name again.  Any other function keeps the one-tuple interface.
+    """
+    names = {
+        b.name for decl in let.decls if isinstance(decl, ast.DFun)
+        for b in decl.bindings
+        if len(b.clauses[0].params) == 1
+        and _tuple_width([c.params[0] for c in b.clauses])
+    }
+    if not names:
+        return frozenset()
+    bad: set[str] = set()
+    declared: set[str] = set()
+
+    def binds(pats) -> None:
+        for pat in pats:
+            bad.update(_pat_vars(pat) & names)
+
+    todo: list[ast.Expr] = [let]
+    while todo:
+        expr = todo.pop()
         if isinstance(expr, ast.EVar):
-            return expr.name == name
-        for child in _expr_children(expr):
-            if has_self_call(child):
-                return True
-        return False
-
-    any_self = any(has_self_call(c.body) for c in binding.clauses)
-    all_tail = all(tail_calls_only(c.body, True) for c in binding.clauses)
-    return any_self and all_tail
-
-
-def _decl_avoids(decl: ast.Decl, name: str) -> bool:
-    """No reference to ``name`` inside a nested declaration."""
-
-    def expr_avoids(expr: ast.Expr) -> bool:
-        if isinstance(expr, ast.EVar):
-            return expr.name != name
-        return all(expr_avoids(c) for c in _expr_children(expr))
-
-    if isinstance(decl, ast.DVal):
-        return expr_avoids(decl.expr)
-    if isinstance(decl, ast.DFun):
-        return all(
-            expr_avoids(clause.body)
-            for binding in decl.bindings
-            for clause in binding.clauses
-        )
-    return True
+            if expr.name in names:
+                bad.add(expr.name)
+            continue
+        if isinstance(expr, ast.EApp) and isinstance(expr.fn, ast.EVar):
+            todo.append(expr.arg)  # a direct application
+            continue
+        if isinstance(expr, ast.EFn):
+            binds([expr.param])
+        elif isinstance(expr, (ast.ECase, ast.EHandle)):
+            binds(pat for pat, _ in expr.clauses)
+        elif isinstance(expr, ast.ELet):
+            for decl in expr.decls:
+                if isinstance(decl, ast.DVal):
+                    binds([decl.pat])
+                elif isinstance(decl, ast.DFun):
+                    for binding in decl.bindings:
+                        if binding.name in declared:  # bound a second time
+                            bad.add(binding.name)
+                        declared.add(binding.name)
+                        for clause in binding.clauses:
+                            binds(clause.params)
+        todo.extend(_expr_children(expr))
+    return frozenset(names - bad)
 
 
 def _expr_children(expr: ast.Expr) -> list[ast.Expr]:

@@ -13,11 +13,13 @@ uniformity with the interpreter):
 
 The generated module imports its helpers from here.  Every dialect
 emits a kept array check as a call to a checked helper (``_subc`` for
-reads, ``_updc`` or the dialect's variant for writes), while an
-eliminated read is a bare ``a[i]`` and an eliminated write calls the
-unchecked ``_upd``.  The measured difference between checked and
-unchecked code is therefore the check *plus* the helper call a kept
-read pays, not the comparison alone.
+reads, ``_updc`` or the dialect's variant for writes).  In ``plain`` an
+eliminated read is a bare ``a[i]``, and an eliminated write is a bare
+``a[i] = v`` where its unit is discarded (a non-final ``;`` item or a
+tail write) and a call of the unchecked ``_upd`` elsewhere.  The
+measured difference between checked and unchecked code is therefore
+the check *plus* the helper call a kept access pays, not the
+comparison alone.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Unit tests for code-generation internals: tail-call analysis,
 statement detection, and generated-source structure."""
 
-from repro import api
+import re
+
+from repro import api, programs
 from repro.compile.pycodegen import (
     _emits_statements,
+    _flat_funs,
     _is_self_tail_recursive,
     compile_program,
 )
@@ -85,6 +88,91 @@ class TestTailDetection:
             "fun go(i) = i > 0 andalso go(i - 1)"
         )
         assert not _is_self_tail_recursive(binding)
+
+    def test_inner_rebinding_is_not_a_self_call(self):
+        binding = binding_of(
+            "fun go(i) = if i > 10 then i "
+            "else let fun go(x) = x + 100 in go(i) end"
+        )
+        assert not _is_self_tail_recursive(binding)
+
+    def test_parameter_rebinding_is_not_a_self_call(self):
+        binding = binding_of("fun go(f, go) = go(f)")
+        assert not _is_self_tail_recursive(binding)
+
+    def test_case_arm_binders(self):
+        binding = binding_of(
+            "fun go(i) = case i of 0 => 0 | go => go - 1"
+        )
+        assert not _is_self_tail_recursive(binding)
+        binding = binding_of(
+            "fun go(l) = case l of nil => 0 "
+            "| x :: go' => go(go')"
+        )
+        assert _is_self_tail_recursive(binding)
+
+
+def flat(source: str) -> set[str]:
+    return set(_flat_funs(parse_expression(source)))
+
+
+class TestFlatParameters:
+    """The syntactic escape rule for flat parameters of ``let`` funs."""
+
+    def test_direct_calls(self):
+        assert flat("let fun f(a, b) = a + b in f(1, 2) + f(3, 4) end") == {"f"}
+
+    def test_non_literal_argument_is_still_a_direct_call(self):
+        assert flat("let fun f(a, b) = a val p = (1, 2) in f p end") == {"f"}
+
+    def test_recursive_and_mutual_calls(self):
+        assert flat(
+            "let fun f(n, k) = if n = 0 then k else g(n - 1, k) "
+            "and g(n, k) = f(n, k + 1) in f(3, 0) end"
+        ) == {"f", "g"}
+
+    def test_call_inside_a_closure(self):
+        assert flat("let fun f(a, b) = a in fn x => f(x, x) end") == {"f"}
+
+    def test_passed_as_an_argument_escapes(self):
+        assert flat(
+            "let fun f(a, b) = a fun g(h, x) = h(x, x) in g(f, 1) end"
+        ) == {"g"}
+
+    def test_stored_in_a_tuple_escapes(self):
+        assert flat("let fun f(a, b) = a val p = (f, 1) in 0 end") == set()
+
+    def test_returned_escapes(self):
+        assert flat("let fun f(a, b) = a in f end") == set()
+
+    def test_annotated_function_position_escapes(self):
+        assert flat("let fun f(a, b) = a in (f : int * int -> int)(1, 2) end") \
+            == set()
+
+    def test_rebinding_in_the_let_disqualifies(self):
+        assert flat("let fun f(a, b) = a val f = 3 in f end") == set()
+        assert flat(
+            "let fun f(a, b) = a fun f(c, d) = d in f(1, 2) end"
+        ) == set()
+
+    def test_rebinding_below_disqualifies(self):
+        assert flat("let fun f(a, b) = a in fn f => f end") == set()
+        assert flat(
+            "let fun f(a, b) = a in let fun f(x) = x in f 1 end end"
+        ) == set()
+        assert flat(
+            "let fun f(a, b) = a in case 1 of f => f(1, 2) end"
+        ) == set()
+
+    def test_only_one_tuple_parameter_of_one_width_qualifies(self):
+        assert flat("let fun f(x) = x in f 1 end") == set()
+        assert flat("let fun f (a, b) c = a in f (1, 2) 3 end") == set()
+        assert flat(
+            "let fun f(0, b) = b | f p = 1 in f(1, 2) end"
+        ) == set()
+        assert flat(
+            "let fun f(0, b) = b | f(a, b) = a in f(1, 2) end"
+        ) == {"f"}
 
 
 class TestEmitsStatements:
@@ -189,3 +277,34 @@ class TestGeneratedStructure:
     def test_namespace_caching(self):
         mod = self.compile("fun f(x) = x")
         assert mod.load() is mod.load()
+
+    def test_tuple_loop_keeps_its_state_in_locals(self):
+        # bcopy's copy loop takes flat parameters and advances only its
+        # index: no argument tuple is built or read per byte.
+        body = self.compile(programs.load_source("bcopy")).source
+        copy = body.split("def d_copy_")[1].split("\n\n")[0]
+        assert re.match(r"\d+\(d_i_(\d+), d_len_\d+\):", copy)
+        index = re.match(r"\d+\(d_i_(\d+)", copy).group(1)
+        assert f"d_i_{index} = (d_i_{index} + 1)" in copy
+        assert "_a" not in copy and "[0]" not in copy
+
+    def test_known_local_takes_flat_parameters(self):
+        source = self.compile(programs.load_source("hanoi")).source
+        assert re.search(r"def d_solve_\d+\(\w+, \w+, \w+, \w+\):", source)
+        assert re.search(r"d_solve_\d+\(\(d_k_\d+ - 1\), ", source)
+        # The top-level entry keeps the one-tuple interface.
+        assert "def d_hanoi(_a1_1):" in source
+
+    def test_eliminated_statement_write_is_a_store_in_plain_only(self):
+        report = api.check(programs.load_source("bcopy"), "bcopy.dml")
+        sites = report.eliminable_sites()
+        plain = compile_program(report.program, report.env, sites, "t").source
+        assert re.search(r"d_dst_\d+\[d_i_\d+\] = d_src_\d+\[d_i_\d+\]", plain)
+        assert "_upd(" not in plain.split("def d_bcopy")[1]
+        for dialect in ("packed", "numpy"):
+            other = compile_program(report.program, report.env, sites, "t",
+                                    dialect=dialect).source
+            assert "] = " not in other.split("def d_bcopy")[1]
+        counted = compile_program(report.program, report.env, sites, "t",
+                                  instrument=True).source
+        assert "_ce(_upd(" in counted

@@ -147,6 +147,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "result    : 7" in out
 
+    def test_compile_and_run_builds_agree(self, good_file, capsys):
+        argv = ["compile-and-run", good_file, "[|7, 8|]",
+                "--entry", "f", "--repeat", "1"]
+        assert main(argv) == 0
+        assert "result    : 7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("differs", ["result", "arguments"])
+    def test_compile_and_run_builds_disagree(self, tmp_path, capsys,
+                                             monkeypatch, differs):
+        # A checked build that diverges from the plan-gated one, in its
+        # result or in the state it leaves its arguments in.
+        import repro.compile.pycodegen as pycodegen
+
+        path = tmp_path / "put.dml"
+        path.write_text("fun put(a) = (update(a, 0, 1); 0) "
+                        "where put <| {n:nat | n > 0} int array(n) -> int\n")
+        compile_program = pycodegen.compile_program
+
+        def diverging(program, env, sites, *args, **kwargs):
+            module = compile_program(program, env, sites, *args, **kwargs)
+            if not sites:
+                module.load()["d_put"] = (
+                    (lambda a: 1) if differs == "result" else (lambda a: 0)
+                )
+            return module
+
+        monkeypatch.setattr(pycodegen, "compile_program", diverging)
+        argv = ["compile-and-run", str(path), "[|0|]", "--entry", "put",
+                "--repeat", "1"]
+        assert main(argv) == 1
+        assert "result    : MISMATCH" in capsys.readouterr().out
+
     def test_compile_and_run_unknown_program(self, capsys):
         assert main(["compile-and-run", "no_such_prog"]) == 2
         assert "neither a file nor a corpus" in capsys.readouterr().err
