@@ -12,17 +12,12 @@ shared-prefix Fourier enabled (the default) are byte-identical to a
 run with the layer off (``slice_goals=False``, the ``--no-slice``
 CLI flag), sequentially and in parallel.
 
-``--store-parity`` checks the persistent-store backends' promise:
-the sqlite row-merge store and the locked-JSON fallback are
-interchangeable — cold verdicts, warm verdicts, warm replay counts,
-and warm hit rates all match between ``--store sqlite`` and
-``--store json``.
-
 ``--fuzz-corpus`` scales the same promise up: a generated corpus
 (``repro fuzz --corpus-scale``, ~10x the bundled one, with failing
 goals in the mix by construction) driven through ``check-corpus
---dir`` must produce byte-identical verdicts at jobs=1, jobs=4, and
-under the process executor.
+--dir`` must produce byte-identical verdicts at jobs=1 and at jobs=4
+against a store, and a warm jobs=4 rerun must replay every goal the
+worker processes persisted, with the same verdicts.
 
 ``--serve-executor-parity`` checks the daemon's executor promise
 (ISSUE 10): a ``repro serve`` daemon under ``--executor thread`` and
@@ -71,55 +66,6 @@ def slice_parity() -> int:
     return 0
 
 
-def store_parity() -> int:
-    runs = {}
-    for backend in ("sqlite", "json"):
-        with tempfile.TemporaryDirectory(prefix=f"repro-{backend}") as tmp:
-            cold = driver.check_corpus(
-                jobs=1, cache_dir=tmp, store=backend, clear=True
-            )
-            warm = driver.check_corpus(jobs=1, cache_dir=tmp, store=backend)
-        runs[backend] = (cold, warm)
-        if not cold.all_ok:
-            print(f"{backend} cold corpus run failed", file=sys.stderr)
-            return 1
-        if cold.store != backend:
-            print(
-                f"requested store {backend}, report says {cold.store}",
-                file=sys.stderr,
-            )
-            return 1
-        if warm.hit_rate < 0.90:
-            print(
-                f"{backend} warm hit rate {warm.hit_rate:.2f} < 0.90",
-                file=sys.stderr,
-            )
-            return 1
-
-    sq_cold, sq_warm = runs["sqlite"]
-    js_cold, js_warm = runs["json"]
-    if verdicts(sq_cold) != verdicts(js_cold):
-        print("cold verdicts diverged between stores", file=sys.stderr)
-        return 1
-    if verdicts(sq_warm) != verdicts(js_warm):
-        print("warm verdicts diverged between stores", file=sys.stderr)
-        return 1
-    if sq_warm.goals_replayed != js_warm.goals_replayed:
-        print(
-            f"warm replay counts diverged: sqlite {sq_warm.goals_replayed} "
-            f"!= json {js_warm.goals_replayed}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"store parity ok: {sq_cold.goals} goals, "
-        f"{sq_warm.goals_replayed} replayed warm on both backends, "
-        f"hit rates sqlite {sq_warm.hit_rate:.0%} / "
-        f"json {js_warm.hit_rate:.0%}"
-    )
-    return 0
-
-
 def fuzz_corpus_parity() -> int:
     from repro.fuzz import emit_corpus
 
@@ -127,10 +73,11 @@ def fuzz_corpus_parity() -> int:
         corpus = f"{tmp}/corpus"
         paths = emit_corpus(corpus, 160, seed=0)
         seq = driver.check_corpus(jobs=1, cache_dir=None, source_dir=corpus)
-        par = driver.check_corpus(jobs=4, cache_dir=None, source_dir=corpus)
-        proc = driver.check_corpus(
-            jobs=4, executor="process", cache_dir=f"{tmp}/cache",
-            source_dir=corpus,
+        par = driver.check_corpus(
+            jobs=4, cache_dir=f"{tmp}/cache", clear=True, source_dir=corpus
+        )
+        warm = driver.check_corpus(
+            jobs=4, cache_dir=f"{tmp}/cache", source_dir=corpus
         )
 
     if len(seq.rows) != len(paths):
@@ -144,9 +91,16 @@ def fuzz_corpus_parity() -> int:
         print("jobs=4 verdicts diverged from jobs=1 on the generated "
               "corpus", file=sys.stderr)
         return 1
-    if verdicts(proc) != verdicts(seq):
-        print("process-executor verdicts diverged on the generated "
-              "corpus", file=sys.stderr)
+    if verdicts(warm) != verdicts(seq):
+        print("warm jobs=4 verdicts diverged on the generated corpus",
+              file=sys.stderr)
+        return 1
+    if warm.goals_replayed != warm.goals:
+        print(
+            f"warm jobs=4 run replayed {warm.goals_replayed} of "
+            f"{warm.goals} goals the workers persisted",
+            file=sys.stderr,
+        )
         return 1
     failing = sum(1 for row in seq.rows if not row.ok)
     if failing == 0:
@@ -160,7 +114,7 @@ def fuzz_corpus_parity() -> int:
         f"fuzz-corpus parity ok: {len(seq.rows)} generated programs, "
         f"{seq.goals} goals ({failing} program(s) with unproved sites "
         "by construction), verdicts identical at jobs=1 / jobs=4 / "
-        "process executor"
+        "warm jobs=4, every goal replayed warm"
     )
     return 0
 
@@ -246,8 +200,6 @@ def serve_executor_parity() -> int:
 def main() -> int:
     if "--slice-parity" in sys.argv[1:]:
         return slice_parity()
-    if "--store-parity" in sys.argv[1:]:
-        return store_parity()
     if "--fuzz-corpus" in sys.argv[1:]:
         return fuzz_corpus_parity()
     if "--serve-executor-parity" in sys.argv[1:]:

@@ -1,4 +1,4 @@
-"""The parallel, incrementally-cached checking driver on the full corpus.
+"""The incrementally-cached checking driver on the full corpus.
 
 Three claims, each load-bearing for running the checker as a batch
 service:
@@ -10,9 +10,9 @@ service:
   ``.repro-cache`` answers at least 90% of its solver queries from the
   cache (in practice: all of them, because unchanged declarations
   replay without querying at all) and re-solves nothing;
-* **parallel speed** — the cold parallel run does no more backend work
-  than the sequential one (the shared in-memory cache can only remove
-  queries), and the cold→warm wall-clock ratio shows the cache payoff.
+* **write-through** — the worker processes of a parallel run persist
+  their own verdicts, so the next run replays them, and the cold→warm
+  wall-clock ratio shows the cache payoff.
 """
 
 from __future__ import annotations

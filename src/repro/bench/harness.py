@@ -471,9 +471,9 @@ class DriverRow:
 
 def driver_table(jobs: int | None = None, backend: str = "fourier") -> list[DriverRow]:
     """The checking driver's three operating points on the full corpus:
-    sequential cold (the old one-goal-at-a-time baseline), parallel
-    cold (fan-out only), and warm (fan-out plus the persisted verdict
-    cache from the cold run)."""
+    sequential cold (one process, no store), parallel cold (worker
+    processes writing their verdicts through the store), and parallel
+    warm (the same pool replaying what the cold run persisted)."""
     import os
     import tempfile
 

@@ -55,14 +55,11 @@ from repro.lang.source import SourceFile
 from repro.solver.backends import backend_names
 from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 
-# Argparse choices and defaults owned by registries that import the
-# code generator, sqlite or the bench workloads.  Every invocation
-# builds the whole parser, so it keeps copies of the names;
-# tests/test_cli_imports.py pins each copy to its registry.
+# Argparse choices owned by registries that import the code generator
+# or the bench workloads.  Every invocation builds the whole parser, so
+# it keeps copies of the names; tests/test_cli_imports.py pins each
+# copy to its registry.
 DIALECTS = ("numpy", "packed", "plain")  # compile.dialects.dialect_names()
-STORE_BACKENDS = ("sqlite", "json")  # driver.store.STORE_BACKENDS
-DEFAULT_STORE = "sqlite"  # driver.store.DEFAULT_STORE
-DEFAULT_CACHE_DIR = ".repro-cache"  # driver.store.DEFAULT_CACHE_DIR
 PRESETS = ("small", "default", "paper", "huge")  # bench.workloads.PRESETS
 
 
@@ -168,47 +165,37 @@ def cmd_goals(args: argparse.Namespace) -> int:
     return 0 if report.all_proved else 1
 
 
-def _open_compile_cache(args: argparse.Namespace):
-    """(cache, disk_store) for ``repro compile``/``compile-and-run``.
-
-    The persistent verdict store (PR 7's ``--store``) activates when
-    ``--store`` or ``--cache-dir`` is given: the solver cache is seeded
-    from it before checking and absorbed back after, so a daemon- or
-    corpus-populated sqlite store warms compile runs too.  Without
-    either flag the legacy in-memory ``--cache`` semantics apply and
-    ``disk_store`` is ``None``.
-    """
-    store = getattr(args, "store", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if store is None and cache_dir is None:
-        return args.cache, None
-    from repro.driver.store import open_store
-    from repro.solver.portfolio import SolverCache
-
-    disk = open_store(cache_dir or DEFAULT_CACHE_DIR, store or DEFAULT_STORE)
-    cache = SolverCache(maxsize=65536)
-    disk.seed(cache)
-    return cache, disk
-
-
-def _persist_compile_cache(cache, disk) -> None:
-    if disk is not None:
-        disk.absorb(cache)
-        disk.save()
-
-
 def _compile_source(args: argparse.Namespace, source: str, name: str):
-    """Shared check+plan+codegen step with store round-trip."""
-    cache, disk = _open_compile_cache(args)
-    result = api.compile(
-        source, name,
-        dialect=getattr(args, "dialect", "plain"),
-        backend=args.backend,
-        cache=cache,
-        limits=_limits(args),
-        slice_goals=not args.no_slice,
-    )
-    _persist_compile_cache(cache, disk)
+    """Shared check+plan+codegen step.
+
+    ``--cache-dir`` turns on the persistent verdict store: the solver
+    cache is seeded from it before checking and absorbed back after,
+    so a daemon- or corpus-populated store warms compile runs too.
+    Without it the in-memory ``--cache`` semantics apply.
+    """
+    cache, disk = args.cache, None
+    if args.cache_dir is not None:
+        from repro.driver.store import open_store
+        from repro.solver.portfolio import SolverCache
+
+        disk = open_store(args.cache_dir)
+        cache = SolverCache(maxsize=65536)
+    try:
+        if disk is not None:
+            disk.seed(cache)
+        result = api.compile(
+            source, name,
+            dialect=getattr(args, "dialect", "plain"),
+            backend=args.backend,
+            cache=cache,
+            limits=_limits(args),
+            slice_goals=not args.no_slice,
+        )
+        if disk is not None:
+            disk.absorb(cache)
+    finally:
+        if disk is not None:
+            disk.close()
     # The eliminated-checks summary goes to stderr in every output
     # mode, so piping the generated source (or timing table) leaves
     # the summary visible.
@@ -488,9 +475,7 @@ def cmd_check_corpus(args: argparse.Namespace) -> int:
         names,
         jobs=args.jobs,
         backend=args.backend,
-        executor=args.executor,
         cache_dir=None if args.no_cache else args.cache_dir,
-        store=args.store,
         clear=args.clear_cache,
         limits=_limits(args),
         slice_goals=not args.no_slice,
@@ -569,7 +554,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        store=args.store,
         caps=caps,
         slice_goals=not args.no_slice,
         executor=args.executor,
@@ -644,15 +628,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "dialect.")
 
     def store_flags(p):
-        p.add_argument("--store", choices=list(STORE_BACKENDS), default=None,
-                       help="persistent verdict store backend: giving "
-                            "--store or --cache-dir seeds the solver "
-                            "cache from the shared store (daemon/corpus "
-                            "runs warm compiles) and writes new verdicts "
-                            f"back (default backend: {DEFAULT_STORE})")
         p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persistent verdict cache directory (implies "
-                            f"--store; default: {DEFAULT_CACHE_DIR})")
+                       help="persistent verdict cache directory: seeds "
+                            "the solver cache from the shared store "
+                            "(daemon/corpus runs warm compiles) and "
+                            "writes new verdicts back")
 
     p_check = sub.add_parser("check", help="type-check a program")
     common(p_check)
@@ -740,23 +720,15 @@ def build_parser() -> argparse.ArgumentParser:
              "corpus (e.g. a `repro fuzz --corpus-scale` output tree); "
              "positional names then select stems within DIR")
     p_corpus.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
-        help="worker count (default: CPU count; 1 = sequential)")
+        "--jobs", "-j", type=int, default=1, metavar="N",
+        help="worker processes (default: 1, checks in this process; "
+             "0 = CPU count)")
     p_corpus.add_argument(
         "--backend", default="fourier", choices=backend_names(),
         help="constraint solver backend")
     p_corpus.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="thread pool (shared in-memory cache) or process pool "
-             "(GIL-free; workers share only the on-disk cache)")
-    p_corpus.add_argument(
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="persistent verdict cache directory (default: .repro-cache)")
-    p_corpus.add_argument(
-        "--store", choices=list(STORE_BACKENDS), default=DEFAULT_STORE,
-        help="persistent store backend: sqlite (WAL; concurrent "
-             "writers merge at row granularity) or json (single "
-             "file under an fcntl lock)")
     p_corpus.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent cache entirely")
@@ -857,11 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
                          help="persistent verdict cache directory "
                               "(default: .repro-cache)")
-    p_serve.add_argument("--store", choices=list(STORE_BACKENDS),
-                         default=DEFAULT_STORE,
-                         help="persistent store backend (sqlite: safe to "
-                              "share the cache directory with concurrent "
-                              "check-corpus runs; json: locked fallback)")
     p_serve.add_argument("--no-cache", action="store_true",
                          help="run without the persistent verdict cache")
     p_serve.add_argument("--no-slice", action="store_true",

@@ -1,37 +1,32 @@
-"""Batch-capable, parallel, incrementally-cached checking driver.
+"""Incrementally-cached checking driver.
 
 Public surface::
 
     from repro import driver
 
-    outcome = driver.check_program(source, jobs=4, disk=driver.open_store())
+    outcome = driver.check_program(source, disk=driver.open_store())
     outcome.report.all_proved          # the usual CheckReport
-    outcome.driver.utilization         # plus driver telemetry
+    outcome.driver.goals_replayed      # plus driver telemetry
 
     corpus = driver.check_corpus(jobs=4, cache_dir=".repro-cache")
     print(corpus.render())
 
-The persistent verdict store is pluggable (``driver.open_store(dir,
-"sqlite"|"json")``): :class:`~repro.driver.store.SqliteVerdictStore`
-is the concurrent-writer-safe default, :class:`DiskCache` the JSON
-fallback.  See :mod:`repro.driver.core` for the architecture,
-:mod:`repro.driver.store` for the store interface and merge
-semantics, and :mod:`repro.driver.hashing` for the
-incrementality/invalidation rules.
+The persistent verdict store is one sqlite database
+(``driver.open_store(dir)``, a
+:class:`~repro.driver.store.SqliteVerdictStore`).  See
+:mod:`repro.driver.core` for the architecture,
+:mod:`repro.driver.store` for the store and its merge semantics, and
+:mod:`repro.driver.hashing` for the incrementality/invalidation rules.
 """
 
 from importlib import import_module
 
 #: Public name -> the submodule that defines it.  Names resolve on first
 #: access (PEP 562), so importing one submodule, say ``driver.store``
-#: for the server, does not run ``driver.core`` and its executors.
+#: for the server, does not run ``driver.core`` and its process pool.
 _EXPORTS = {
     "DEFAULT_CACHE_DIR": "store",
-    "DEFAULT_STORE": "store",
-    "STORE_BACKENDS": "store",
-    "DiskCache": "cache",
     "SqliteVerdictStore": "store",
-    "VerdictStore": "store",
     "open_store": "store",
     "CorpusReport": "core",
     "DriverReport": "core",

@@ -1,15 +1,10 @@
-"""The pluggable persistent verdict store (``.repro-cache/``).
+"""The persistent verdict store (``.repro-cache/verdicts.sqlite``).
 
-The driver, the corpus runner, and the serve daemon all share one
-corpus of solved verdicts between processes.  This module defines the
-store *interface* (:class:`VerdictStore`) and the default **sqlite
-backend** (:class:`SqliteVerdictStore`); the JSON backend lives in
-:mod:`repro.driver.cache` (:class:`~repro.driver.cache.DiskCache`) as
-the no-sqlite fallback.
-
-Two layers are persisted, both keyed so that stale entries can never
-be *wrongly* reused — at worst they are ignored and the solve falls
-back to cold:
+The driver, the corpus runner, the compile commands and the serve
+daemon all share one corpus of solved verdicts between processes,
+kept in one sqlite database.  Two layers are persisted, both keyed so
+that stale entries can never be *wrongly* reused — at worst they are
+ignored and the solve falls back to cold:
 
 * **solver verdicts** — ``backend name × canonical goal key → unsat``.
   Canonical keys are invariant under variable renaming, so verdicts
@@ -17,44 +12,31 @@ back to cold:
 * **declaration records** — per-declaration goal verdicts keyed by the
   prefix-chain content hash of :mod:`repro.driver.hashing`.
 
-Why sqlite is the default: the JSON file is a single blob, so two
-concurrent writers (say a ``repro serve`` daemon and a
-``repro check-corpus`` run sharing ``.repro-cache/``) historically
-overwrote each other last-writer-wins and silently destroyed
-verdicts.  The sqlite backend merges at **row** granularity instead:
-every writer's ``INSERT OR IGNORE`` lands independently under WAL
-journaling, so N processes absorbing disjoint verdict sets always
-yield their exact union — safe across threads, processes, and
-machines sharing a filesystem.  (The retrofitted JSON backend now
-closes the same hole with a load-merge-save cycle under an ``fcntl``
-file lock, at whole-file granularity.)
+Concurrent writers — a ``repro serve`` daemon and its workers, the
+corpus runner's worker processes, a ``repro check-corpus`` run sharing
+``.repro-cache/`` — merge at **row** granularity: every writer's
+``INSERT OR IGNORE`` lands independently under WAL journaling, so N
+processes absorbing disjoint verdict sets always yield their exact
+union.
 
-Both backends also record **cross-run hit counts**: how many later
-runs re-used each solver verdict and replayed each declaration
-record.  The driver uses the declaration counts to schedule
-cache-aware — goals from rarely-hit (likely cold, likely expensive)
-declarations are solved first so they never become the stragglers of
-a parallel batch, while globally hot keys replay instantly anyway.
+The store also records **cross-run hit counts**: how many later runs
+re-used each solver verdict and replayed each declaration record.
 
-A sqlite store is created by one-way migration from an existing
-``verdicts.json`` on first open, so switching backends never discards
-a warm corpus.
+Everything stored is content-derived: canonical goal keys quotient by
+variable renaming and never mention the interned IR's process-local
+node ids, so a store written by one process is exactly as warm for the
+next.  A ``verdicts.json`` left by older versions is ignored.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
-from abc import ABC, abstractmethod
 from pathlib import Path
 
 from repro.driver.hashing import SCHEMA_VERSION
 from repro.solver.portfolio import SolverCache, decode_key, encode_key
-
-try:  # pragma: no cover - stdlib, absent only on exotic builds
-    import sqlite3
-except ImportError:  # pragma: no cover
-    sqlite3 = None  # type: ignore[assignment]
 
 #: A replayable goal verdict: (origin, proved, reason).
 GoalRecord = tuple[str, bool, str]
@@ -62,131 +44,9 @@ GoalRecord = tuple[str, bool, str]
 DEFAULT_CACHE_DIR = ".repro-cache"
 DB_FILENAME = "verdicts.sqlite"
 
-#: Store backend names accepted by :func:`open_store` and the CLI.
-STORE_BACKENDS = ("sqlite", "json")
-DEFAULT_STORE = "sqlite"
 
-
-class VerdictStore(ABC):
-    """Interface every persistent verdict store implements.
-
-    Statistics attributes every backend maintains (all monotone within
-    one process, reset only by :meth:`clear`):
-
-    * ``loaded_solver`` / ``loaded_decls`` — entries found on disk at
-      open time;
-    * ``corrupt`` — a file existed but could not be (fully) trusted;
-    * ``decl_hits`` / ``decl_misses`` — :meth:`decl_lookup` outcomes
-      this process;
-    * ``migrated_solver`` / ``migrated_decls`` — entries imported from
-      another backend's file on first open (sqlite only, zero
-      elsewhere).
-    """
-
-    #: Backend name, e.g. ``"sqlite"`` or ``"json"``.
-    kind: str = "abstract"
-
-    loaded_solver: int
-    loaded_decls: int
-    corrupt: bool
-    decl_hits: int
-    decl_misses: int
-    migrated_solver: int = 0
-    migrated_decls: int = 0
-
-    # -- solver-verdict layer -------------------------------------------
-
-    @abstractmethod
-    def seed(self, cache: SolverCache) -> int:
-        """Preload an in-memory solver cache with the persisted
-        verdicts; returns how many entries were installed."""
-
-    @abstractmethod
-    def absorb(self, cache: SolverCache) -> int:
-        """Fold an in-memory solver cache's verdicts into the store;
-        returns how many entries are new.  Entries the cache actually
-        answered queries from (``cache.hit_keys()``) bump the
-        persistent per-key hit count."""
-
-    def refresh(self, cache: SolverCache) -> int:
-        """Re-seed ``cache`` with solver verdicts that landed in the
-        persistent store since open (or since the last refresh) —
-        typically another process's :meth:`absorb`.  The serve daemon's
-        process-executor parent calls this periodically so workers
-        respawned later fork from a view that includes verdicts their
-        siblings already persisted.  Returns how many entries were
-        installed.  Default: a full re-seed; backends may do better."""
-        return self.seed(cache)
-
-    # -- declaration layer ----------------------------------------------
-
-    @abstractmethod
-    def decl_lookup(self, key: str) -> list[GoalRecord] | None:
-        """The replayable records for one declaration hash, or
-        ``None``.  A hit bumps the key's cross-run hit count (flushed
-        by :meth:`save`)."""
-
-    @abstractmethod
-    def decl_store(self, key: str, records: list[GoalRecord]) -> None:
-        """Record one declaration's verdicts."""
-
-    @abstractmethod
-    def decl_entries(self) -> dict[str, list[GoalRecord]]:
-        """Snapshot of all declaration records (for cross-process
-        merging by the corpus driver)."""
-
-    @abstractmethod
-    def decl_hit_counts(self) -> dict[str, int]:
-        """Cross-run hit count per declaration hash (persisted counts
-        plus this process's so-far-unflushed hits) — the driver's
-        cache-aware scheduling input."""
-
-    # -- persistence -----------------------------------------------------
-
-    @abstractmethod
-    def save(self) -> None:
-        """Publish this process's state durably without losing any
-        concurrent writer's entries (row-merge for sqlite,
-        locked load-merge-save for JSON)."""
-
-    @abstractmethod
-    def clear(self) -> None:
-        """Drop all entries and reset statistics to a cold start."""
-
-    def close(self) -> None:
-        """Release backend resources (no-op where there are none)."""
-
-    # -- statistics ------------------------------------------------------
-
-    @property
-    @abstractmethod
-    def solver_entry_count(self) -> int:
-        """Persisted solver verdicts (thread-safe)."""
-
-    @property
-    @abstractmethod
-    def decl_entry_count(self) -> int:
-        """Persisted declaration records (thread-safe)."""
-
-    def stats(self) -> dict:
-        """Uniform telemetry snapshot (the serve daemon's ``/stats``
-        ``store`` object)."""
-        return {
-            "backend": self.kind,
-            "solver_entries": self.solver_entry_count,
-            "decl_entries": self.decl_entry_count,
-            "loaded_solver": self.loaded_solver,
-            "loaded_decls": self.loaded_decls,
-            "decl_hits": self.decl_hits,
-            "decl_misses": self.decl_misses,
-            "migrated_solver": self.migrated_solver,
-            "migrated_decls": self.migrated_decls,
-            "corrupt": self.corrupt,
-        }
-
-
-class SqliteVerdictStore(VerdictStore):
-    """The default store: one sqlite database in WAL mode.
+class SqliteVerdictStore:
+    """The verdict store: one sqlite database in WAL mode.
 
     Concurrency model: every mutation is row-granular (``INSERT OR
     IGNORE`` / per-key ``UPDATE``), so concurrent writers interleave
@@ -196,17 +56,21 @@ class SqliteVerdictStore(VerdictStore):
     only ever agree about a key's verdict; the backends are
     deterministic functions of the key).
 
-    Corruption and schema drift mirror the JSON backend's contract: a
-    file that cannot be opened or has a different ``user_version`` is
-    dropped and recreated empty (``corrupt`` set), so a bad cache
-    costs time but never changes a verdict.
+    Fail-soft: a file that cannot be opened or has a different
+    ``user_version`` is dropped and recreated empty (``corrupt`` set),
+    and a row that does not decode is dropped, so a bad store costs
+    time but never changes a verdict.
+
+    Statistics (monotone within one process, reset only by
+    :meth:`clear`): ``loaded_solver`` / ``loaded_decls`` — entries
+    found on disk at open time; ``corrupt`` — a file existed but could
+    not be trusted; ``decl_hits`` / ``decl_misses`` —
+    :meth:`decl_lookup` outcomes this process.
     """
 
     kind = "sqlite"
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
-        if sqlite3 is None:  # pragma: no cover - exotic builds only
-            raise RuntimeError("sqlite3 is not available in this python")
         self.root = Path(root)
         self.path = self.root / DB_FILENAME
         self._lock = threading.Lock()
@@ -215,25 +79,20 @@ class SqliteVerdictStore(VerdictStore):
         self.corrupt = False
         self.decl_hits = 0
         self.decl_misses = 0
-        self.migrated_solver = 0
-        self.migrated_decls = 0
         #: decl key -> hits observed this process, not yet flushed.
         self._decl_hit_delta: dict[str, int] = {}
         #: Highest solver rowid already seeded into a cache; rows above
         #: it are what :meth:`refresh` picks up incrementally.
         self._seed_rowid = 0
         self.root.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists()
         self._conn = self._open()
-        if fresh:
-            self._migrate_json()
         with self._lock:
             self.loaded_solver = self._count("solver")
             self.loaded_decls = self._count("decls")
 
     # -- connection management ------------------------------------------
 
-    def _connect(self) -> "sqlite3.Connection":
+    def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(
             str(self.path),
             timeout=30.0,
@@ -245,7 +104,7 @@ class SqliteVerdictStore(VerdictStore):
         conn.execute("PRAGMA synchronous = NORMAL")
         return conn
 
-    def _init_schema(self, conn: "sqlite3.Connection") -> None:
+    def _init_schema(self, conn: sqlite3.Connection) -> None:
         conn.execute("BEGIN IMMEDIATE")
         conn.execute(
             "CREATE TABLE IF NOT EXISTS solver ("
@@ -264,7 +123,7 @@ class SqliteVerdictStore(VerdictStore):
         conn.execute(f"PRAGMA user_version = {int(SCHEMA_VERSION)}")
         conn.execute("COMMIT")
 
-    def _open(self) -> "sqlite3.Connection":
+    def _open(self) -> sqlite3.Connection:
         try:
             conn = self._connect()
             version = conn.execute("PRAGMA user_version").fetchone()[0]
@@ -281,8 +140,7 @@ class SqliteVerdictStore(VerdictStore):
             self._init_schema(conn)
             return conn
         except sqlite3.DatabaseError:
-            # Not a database (garbage bytes, torn write): cold-start,
-            # exactly like the corrupt-JSON path.
+            # Not a database (garbage bytes, torn write): cold-start.
             try:
                 conn.close()
             except Exception:
@@ -297,47 +155,11 @@ class SqliteVerdictStore(VerdictStore):
             self._init_schema(conn)
             return conn
 
-    def _migrate_json(self) -> None:
-        """One-way import of an existing ``verdicts.json`` so a
-        backend switch starts as warm as the JSON store was.  The JSON
-        file is left untouched (the sqlite file's existence is the
-        "already migrated" marker)."""
-        from repro.driver.cache import CACHE_FILENAME, DiskCache
-
-        if not (self.root / CACHE_FILENAME).exists():
-            return
-        legacy = DiskCache(self.root)
-        if legacy.corrupt:
-            self.corrupt = True
-            return
-        solver, decls, decl_hits = legacy.export_state()
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                for backend, entries in solver.items():
-                    for text, verdict in entries.items():
-                        cur = self._conn.execute(
-                            "INSERT OR IGNORE INTO solver"
-                            " (backend, key, verdict) VALUES (?, ?, ?)",
-                            (backend, text, int(verdict)),
-                        )
-                        self.migrated_solver += cur.rowcount
-                for key, records in decls.items():
-                    cur = self._conn.execute(
-                        "INSERT OR IGNORE INTO decls (key, records, hits)"
-                        " VALUES (?, ?, ?)",
-                        (key, _encode_records(records),
-                         decl_hits.get(key, 0)),
-                    )
-                    self.migrated_decls += cur.rowcount
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
-
     # -- solver-verdict layer -------------------------------------------
 
     def seed(self, cache: SolverCache) -> int:
+        """Preload an in-memory solver cache with the persisted
+        verdicts; returns how many entries were installed."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT rowid, backend, key, verdict FROM solver"
@@ -347,10 +169,14 @@ class SqliteVerdictStore(VerdictStore):
         return self._preload_rows(cache, rows)
 
     def refresh(self, cache: SolverCache) -> int:
-        """Incremental re-seed: only rows another writer appended since
-        the last :meth:`seed`/:meth:`refresh` (tracked by a rowid
-        watermark — ``INSERT OR IGNORE`` never rewrites existing rows,
-        so new rowids are exactly the new verdicts)."""
+        """Re-seed ``cache`` with the solver verdicts another writer
+        appended since the last :meth:`seed`/:meth:`refresh`, tracked
+        by a rowid watermark (``INSERT OR IGNORE`` never rewrites
+        existing rows, so new rowids are exactly the new verdicts).
+        The serve daemon's process-executor parent calls this
+        periodically so workers respawned later fork from a view that
+        includes verdicts their siblings already persisted.  Returns
+        how many entries were installed."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT rowid, backend, key, verdict FROM solver"
@@ -367,15 +193,23 @@ class SqliteVerdictStore(VerdictStore):
     def _preload_rows(cache: SolverCache, rows: list) -> int:
         count = 0
         for _rowid, backend, text, verdict in rows:
+            # A malformed row is dropped, never trusted: a verdict
+            # other than 0/1 must not read as a proof.
+            if verdict not in (0, 1):
+                continue
             try:
                 key = decode_key(text)
             except ValueError:
-                continue  # a malformed row is dropped, never trusted
-            cache.preload(backend, key, bool(verdict))
+                continue
+            cache.preload(backend, key, verdict == 1)
             count += 1
         return count
 
     def absorb(self, cache: SolverCache) -> int:
+        """Fold an in-memory solver cache's verdicts into the store;
+        returns how many entries are new.  Entries the cache actually
+        answered queries from (``cache.hit_keys()``) bump the
+        persistent per-key hit count."""
         added = 0
         hit_keys = cache.hit_keys()
         with self._lock:
@@ -405,6 +239,9 @@ class SqliteVerdictStore(VerdictStore):
     # -- declaration layer ----------------------------------------------
 
     def decl_lookup(self, key: str) -> list[GoalRecord] | None:
+        """The replayable records for one declaration hash, or
+        ``None``.  A hit bumps the key's cross-run hit count (flushed
+        by :meth:`save`)."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT records FROM decls WHERE key = ?", (key,)
@@ -421,6 +258,7 @@ class SqliteVerdictStore(VerdictStore):
             return records
 
     def decl_store(self, key: str, records: list[GoalRecord]) -> None:
+        """Record one declaration's verdicts."""
         with self._lock:
             self._conn.execute(
                 "INSERT INTO decls (key, records) VALUES (?, ?)"
@@ -428,19 +266,10 @@ class SqliteVerdictStore(VerdictStore):
                 (key, _encode_records(records)),
             )
 
-    def decl_entries(self) -> dict[str, list[GoalRecord]]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT key, records FROM decls"
-            ).fetchall()
-        entries = {}
-        for key, text in rows:
-            records = _decode_records(text)
-            if records is not None:
-                entries[key] = records
-        return entries
-
     def decl_hit_counts(self) -> dict[str, int]:
+        """Cross-run hit count per declaration hash: persisted counts
+        plus this process's so-far-unflushed hits.  A key absent from
+        the mapping has zero hits."""
         with self._lock:
             counts = dict(
                 self._conn.execute("SELECT key, hits FROM decls").fetchall()
@@ -452,9 +281,8 @@ class SqliteVerdictStore(VerdictStore):
     # -- persistence -----------------------------------------------------
 
     def save(self) -> None:
-        """Flush buffered hit counts.  Verdicts are already durable —
-        every absorb/decl_store committed row-merge style — so unlike
-        the JSON backend there is no whole-file publish step."""
+        """Flush buffered hit counts.  Verdicts are already durable:
+        every absorb/decl_store committed its rows."""
         with self._lock:
             if self._decl_hit_delta:
                 self._conn.execute("BEGIN IMMEDIATE")
@@ -471,6 +299,7 @@ class SqliteVerdictStore(VerdictStore):
                 self._decl_hit_delta.clear()
 
     def clear(self) -> None:
+        """Drop all entries and reset statistics to a cold start."""
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             self._conn.execute("DELETE FROM solver")
@@ -481,8 +310,6 @@ class SqliteVerdictStore(VerdictStore):
             self.corrupt = False
             self.decl_hits = 0
             self.decl_misses = 0
-            self.migrated_solver = 0
-            self.migrated_decls = 0
             self._decl_hit_delta.clear()
             self._seed_rowid = 0
 
@@ -508,6 +335,20 @@ class SqliteVerdictStore(VerdictStore):
         with self._lock:
             return self._count("decls")
 
+    def stats(self) -> dict:
+        """Telemetry snapshot (the serve daemon's ``/stats`` ``store``
+        object)."""
+        return {
+            "backend": self.kind,
+            "solver_entries": self.solver_entry_count,
+            "decl_entries": self.decl_entry_count,
+            "loaded_solver": self.loaded_solver,
+            "loaded_decls": self.loaded_decls,
+            "decl_hits": self.decl_hits,
+            "decl_misses": self.decl_misses,
+            "corrupt": self.corrupt,
+        }
+
 
 def _encode_records(records: list[GoalRecord]) -> str:
     return json.dumps(
@@ -517,7 +358,7 @@ def _encode_records(records: list[GoalRecord]) -> str:
 
 def _decode_records(text: str) -> list[GoalRecord] | None:
     """Parse one decls row; ``None`` for anything malformed (the row
-    is then treated as a miss, mirroring the JSON corruption rules)."""
+    is then treated as a miss)."""
     try:
         data = json.loads(text)
     except (TypeError, ValueError):
@@ -538,23 +379,6 @@ def _decode_records(text: str) -> list[GoalRecord] | None:
     return records
 
 
-def open_store(
-    root: str | Path = DEFAULT_CACHE_DIR, backend: str = DEFAULT_STORE
-) -> VerdictStore:
-    """Open the persistent verdict store at ``root``.
-
-    ``backend="sqlite"`` (the default) opens the WAL-mode row-merge
-    store, migrating any existing ``verdicts.json`` one-way on first
-    open; it falls back to the locked JSON backend when this python
-    lacks ``sqlite3``.  ``backend="json"`` forces the fallback.
-    """
-    from repro.driver.cache import DiskCache
-
-    if backend not in STORE_BACKENDS:
-        raise ValueError(
-            f"unknown store backend {backend!r} "
-            f"(expected one of {', '.join(STORE_BACKENDS)})"
-        )
-    if backend == "sqlite" and sqlite3 is not None:
-        return SqliteVerdictStore(root)
-    return DiskCache(root)
+def open_store(root: str | Path = DEFAULT_CACHE_DIR) -> SqliteVerdictStore:
+    """Open (creating if needed) the verdict store under ``root``."""
+    return SqliteVerdictStore(root)

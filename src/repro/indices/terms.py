@@ -666,21 +666,6 @@ class EvarStore:
                 return term
             term = subst_evars(term, solved)
 
-    def snapshot(self) -> "EvarStore":
-        """An independent copy of the current allocation/solution state.
-
-        The parallel driver hands each in-flight proof goal a snapshot
-        taken at the same pipeline point where the sequential checker
-        would have proved it, so later evar solutions (or concurrent
-        ones) cannot change its verdict.  Terms are immutable; only the
-        dictionaries need copying.
-        """
-        copy = EvarStore()
-        copy._next_uid = self._next_uid
-        copy._solutions = dict(self._solutions)
-        copy._scopes = dict(self._scopes)
-        return copy
-
     @property
     def solutions(self) -> dict[EVar, IndexTerm]:
         return dict(self._solutions)

@@ -16,13 +16,21 @@ from repro.lang.source import DUMMY_SPAN, SourceFile, Span
 class DMLError(Exception):
     """Base class for all errors raised by the repro pipeline."""
 
+    #: The source the span points into, when the code that raised or
+    #: passed the error on knows it (the corpus driver sets it, so an
+    #: error names the program it came from).
+    source: SourceFile | None = None
+
     def __init__(self, message: str, span: Span = DUMMY_SPAN) -> None:
         super().__init__(message)
         self.message = message
         self.span = span
 
     def render(self, source: SourceFile | None = None) -> str:
-        """Format the error with a source excerpt when available."""
+        """Format the error with a source excerpt when available:
+        ``source``, else the error's own :attr:`source`."""
+        if source is None:
+            source = self.source
         if source is None or self.span == DUMMY_SPAN:
             return f"{type(self).__name__}: {self.message}"
         head = f"{source.describe(self.span)}: {type(self).__name__}: {self.message}"

@@ -4,7 +4,7 @@ One-shot ``repro check`` pays prelude elaboration and cold caches on
 every invocation.  This package keeps that state warm in a long-lived
 process: :mod:`repro.server.sessions` owns the elaborated prelude
 template, the shared solver-verdict cache (seeded from the persistent
-:class:`~repro.driver.cache.DiskCache`), and the goal-preprocessing
+verdict store, :mod:`repro.driver.store`), and the goal-preprocessing
 :class:`~repro.solver.slice.SliceContext`; :mod:`repro.server.app`
 serves them over an asyncio HTTP/JSON protocol defined in
 :mod:`repro.server.protocol`; :mod:`repro.server.client` is the small

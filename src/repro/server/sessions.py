@@ -12,13 +12,13 @@ What stays warm across requests (and why each piece is safe to share):
   (:mod:`repro.indices.intern`); sharing is its whole point.
 * **the solver-verdict cache** — one locked
   :class:`~repro.solver.portfolio.SolverCache`, seeded from the
-  persistent :class:`~repro.driver.store.VerdictStore` at startup and
-  absorbed back periodically (behind a dedicated persist lock, so two
-  worker threads crossing the persist boundary never run concurrent
-  absorb+save cycles).  Canonical keys quotient by variable renaming,
-  so verdicts cached by one request answer structurally identical
-  queries from any other; the sqlite store's row-merge writes mean a
-  daemon can safely share its cache directory with concurrent
+  persistent :class:`~repro.driver.store.SqliteVerdictStore` at
+  startup and absorbed back periodically (behind a dedicated persist
+  lock, so two worker threads crossing the persist boundary never run
+  concurrent absorb+save cycles).  Canonical keys quotient by variable
+  renaming, so verdicts cached by one request answer structurally
+  identical queries from any other; the store's row-merge writes mean
+  a daemon can safely share its cache directory with concurrent
   ``repro check-corpus`` runs.
 * **the slice context** — one locked
   :class:`~repro.solver.slice.SliceContext`: refuted cores and
@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import field
 
 from repro import api
-from repro.driver.store import DEFAULT_CACHE_DIR, DEFAULT_STORE, open_store
+from repro.driver.store import DEFAULT_CACHE_DIR, open_store
 from repro.lang.errors import DMLError
 from repro.records import record
 from repro.server.protocol import (
@@ -93,9 +93,6 @@ class ServerConfig:
     jobs: int | None = None
     #: Persistent verdict cache directory (``None`` disables it).
     cache_dir: str | None = DEFAULT_CACHE_DIR
-    #: Persistent store backend ("sqlite" row-merge WAL store, or
-    #: "json" for the locked single-file fallback).
-    store: str = DEFAULT_STORE
     #: Server-side admission caps; client-requested budgets are
     #: clamped against these (``None`` components = uncapped).
     caps: SolverLimits = field(default_factory=lambda: DEFAULT_LIMITS)
@@ -148,7 +145,7 @@ class CheckService:
         api._prelude_inferencer()
         load_backend(self.config.backend)
         self.disk = (
-            open_store(self.config.cache_dir, self.config.store)
+            open_store(self.config.cache_dir)
             if self.config.cache_dir is not None
             else None
         )

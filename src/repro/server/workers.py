@@ -4,8 +4,8 @@ process``.
 Thread mode shares one CPython interpreter, so the GIL serializes the
 CPU-bound solving and a multi-core box answers ``/check-batch`` no
 faster than a single core.  This pool sidesteps the GIL the same way
-``check-corpus --executor process`` does, but without paying a cold
-start per task: workers are **forked after the parent is warm** — the
+``check-corpus --jobs N`` does, but without paying a cold start per
+task: workers are **forked after the parent is warm** — the
 prelude template elaborated, the intern table populated, and the
 shared :class:`~repro.solver.portfolio.SolverCache` seeded from the
 persistent store — so fork-time copy-on-write hands every worker a
@@ -20,9 +20,9 @@ Lifecycle and safety:
   (connections must not cross ``fork``); each opens its own WAL
   connection after the fork and absorbs its fresh verdicts
   periodically and at exit.  The parent periodically
-  :meth:`~repro.driver.store.VerdictStore.refresh`-es its own cache so
-  workers respawned later fork from a view that already contains
-  their siblings' persisted verdicts.
+  :meth:`~repro.driver.store.SqliteVerdictStore.refresh`-es its own
+  cache so workers respawned later fork from a view that already
+  contains their siblings' persisted verdicts.
 * **Containment** — a worker that crashes (pipe EOF) or wedges past
   ``worker_timeout`` is killed, reaped, and respawned; the in-flight
   request fails with a contained error and the daemon keeps serving.
@@ -89,7 +89,6 @@ def _worker_main(
     cache: SolverCache,
     backend_default: str,
     cache_dir: str | None,
-    store_backend: str,
     slice_goals: bool,
 ) -> None:
     """The forked child's request loop.
@@ -101,9 +100,7 @@ def _worker_main(
     not cross a ``fork``.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
-    disk = (
-        open_store(cache_dir, store_backend) if cache_dir is not None else None
-    )
+    disk = open_store(cache_dir) if cache_dir is not None else None
     pool_telemetry = SolverTelemetry()
     slicing = SliceContext(pool_telemetry) if slice_goals else None
     unsaved = 0
@@ -227,7 +224,6 @@ class ProcessWorkerPool:
                 self._cache,
                 self._config.backend,
                 self._config.cache_dir,
-                self._config.store,
                 self._config.slice_goals,
             ),
             name=f"repro-serve-worker-{wid}",

@@ -1,12 +1,14 @@
-"""The on-disk verdict store: round-trips, atomicity, corruption."""
+"""The verdict store within one process: round trips, clearing,
+corruption.  Concurrent writers and the driver's use of the store are
+in test_store.py."""
 
-import json
 import os
+import sqlite3
 
-from repro.driver.cache import CACHE_FILENAME, DiskCache
 from repro.driver.hashing import SCHEMA_VERSION
+from repro.driver.store import DB_FILENAME, open_store
 from repro.indices.linear import Atom, LinComb
-from repro.solver.portfolio import SolverCache, canonical_key
+from repro.solver.portfolio import SolverCache, canonical_key, encode_key
 
 
 def some_key():
@@ -22,12 +24,12 @@ def filled_memory_cache() -> SolverCache:
 
 class TestRoundTrip:
     def test_solver_and_decl_layers_survive_a_reload(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         assert disk.absorb(filled_memory_cache()) == 1
         disk.decl_store("abc123", [("sub#1", True, "")])
-        disk.save()
+        disk.close()
 
-        fresh = DiskCache(tmp_path)
+        fresh = open_store(tmp_path)
         assert not fresh.corrupt
         assert fresh.loaded_solver == 1
         assert fresh.loaded_decls == 1
@@ -38,46 +40,45 @@ class TestRoundTrip:
         assert seeded.lookup("fourier", some_key()) is True
         # Seeding must not count as a hit in the seeded cache's stats.
         assert seeded.hits == 1  # the lookup just above, nothing else
+        fresh.close()
 
     def test_absorb_counts_only_new_entries(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         assert disk.absorb(filled_memory_cache()) == 1
         assert disk.absorb(filled_memory_cache()) == 0
         assert disk.solver_entry_count == 1
+        disk.close()
 
     def test_missing_file_is_a_clean_cold_start(self, tmp_path):
-        disk = DiskCache(tmp_path / "never-written")
+        disk = open_store(tmp_path / "never-written")
         assert not disk.corrupt
         assert disk.loaded_solver == disk.loaded_decls == 0
+        disk.close()
+
+    def test_an_old_json_store_is_ignored(self, tmp_path):
+        # Older versions kept verdicts in verdicts.json; it is neither
+        # imported nor taken for corruption.
+        (tmp_path / "verdicts.json").write_text("{not json")
+        disk = open_store(tmp_path)
+        assert not disk.corrupt
+        assert disk.loaded_solver == disk.loaded_decls == 0
+        disk.close()
 
     def test_save_leaves_no_temp_files(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         disk.decl_store("k", [("sub#1", True, "")])
         disk.save()
-        # The advisory lockfile is a deliberate, stable artifact; what
-        # must never survive a save is a mkstemp *.tmp leftover.
-        published = [
-            name for name in os.listdir(tmp_path)
-            if not name.endswith(".lock")
-        ]
-        assert sorted(published) == [CACHE_FILENAME]
-
-    def test_clear_removes_the_file(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        disk.clear()
-        assert disk.decl_lookup("k") is None
-        assert not (tmp_path / CACHE_FILENAME).exists()
-        assert DiskCache(tmp_path).loaded_decls == 0
+        disk.close()
+        # The WAL and shared-memory files go with the last connection.
+        assert os.listdir(tmp_path) == [DB_FILENAME]
 
     def test_clear_resets_statistics(self, tmp_path):
         # Fill, save, and reload so every statistic is nonzero.
-        disk = DiskCache(tmp_path)
+        disk = open_store(tmp_path)
         disk.absorb(filled_memory_cache())
         disk.decl_store("abc", [("sub#1", True, "")])
-        disk.save()
-        warmed = DiskCache(tmp_path)
+        disk.close()
+        warmed = open_store(tmp_path)
         assert warmed.decl_lookup("abc") is not None  # one hit
         assert warmed.decl_lookup("missing") is None  # one miss
         assert warmed.loaded_solver == 1
@@ -95,104 +96,116 @@ class TestRoundTrip:
         assert warmed.corrupt is False
         assert warmed.solver_entry_count == 0
         assert warmed.decl_entry_count == 0
+        assert warmed.decl_lookup("abc") is None
+        warmed.close()
 
     def test_clear_resets_the_corrupt_flag(self, tmp_path):
-        (tmp_path / CACHE_FILENAME).write_text("{not json")
-        disk = DiskCache(tmp_path)
+        (tmp_path / DB_FILENAME).write_bytes(b"not a database")
+        disk = open_store(tmp_path)
         assert disk.corrupt
         disk.clear()
         assert disk.corrupt is False
+        disk.close()
 
     def test_save_preserves_existing_permissions(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        os.chmod(tmp_path / CACHE_FILENAME, 0o604)
+        disk = open_store(tmp_path)
+        disk.close()
+        os.chmod(tmp_path / DB_FILENAME, 0o604)
+        disk = open_store(tmp_path)
         disk.decl_store("k2", [("sub#2", True, "")])
-        disk.save()
-        mode = os.stat(tmp_path / CACHE_FILENAME).st_mode & 0o777
+        disk.absorb(filled_memory_cache())
+        disk.close()
+        mode = os.stat(tmp_path / DB_FILENAME).st_mode & 0o777
         assert mode == 0o604
-
-    def test_fresh_save_honors_the_umask_not_mkstemp(self, tmp_path):
-        umask = os.umask(0)
-        os.umask(umask)
-        disk = DiskCache(tmp_path)
-        disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        mode = os.stat(tmp_path / CACHE_FILENAME).st_mode & 0o777
-        # mkstemp's 0600 must not leak through to the published file.
-        assert mode == (0o666 & ~umask)
 
 
 class TestCorruption:
-    def write(self, tmp_path, text: str) -> None:
-        (tmp_path / CACHE_FILENAME).write_text(text)
+    def insert(self, tmp_path, sql: str, params: tuple) -> None:
+        """Write a row behind the store's back (an older or buggy
+        writer, a hand edit)."""
+        open_store(tmp_path).close()
+        conn = sqlite3.connect(tmp_path / DB_FILENAME)
+        with conn:
+            conn.execute(sql, params)
+        conn.close()
+
+    def insert_verdict(self, tmp_path, key: str, verdict) -> None:
+        self.insert(
+            tmp_path,
+            "INSERT INTO solver (backend, key, verdict) VALUES (?, ?, ?)",
+            ("fourier", key, verdict),
+        )
 
     def test_garbage_bytes(self, tmp_path):
-        self.write(tmp_path, "{not json")
-        disk = DiskCache(tmp_path)
+        (tmp_path / DB_FILENAME).write_bytes(b"\x00garbage, not a database")
+        disk = open_store(tmp_path)
         assert disk.corrupt
         assert disk.loaded_solver == disk.loaded_decls == 0
+        disk.close()
 
     def test_wrong_schema_version(self, tmp_path):
-        self.write(
-            tmp_path,
-            json.dumps(
-                {"version": SCHEMA_VERSION + 1, "solver": {}, "decls": {}}
-            ),
-        )
-        assert DiskCache(tmp_path).corrupt
+        disk = open_store(tmp_path)
+        disk.absorb(filled_memory_cache())
+        disk.close()
+        conn = sqlite3.connect(tmp_path / DB_FILENAME)
+        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+        conn.close()
+
+        drifted = open_store(tmp_path)
+        assert drifted.corrupt
+        assert drifted.loaded_solver == 0
+        assert drifted.seed(SolverCache()) == 0
+        drifted.close()
 
     def test_malformed_canonical_key(self, tmp_path):
-        self.write(
-            tmp_path,
-            json.dumps(
-                {
-                    "version": SCHEMA_VERSION,
-                    "solver": {"fourier": {"[[1,2,3]]": True}},
-                    "decls": {},
-                }
-            ),
-        )
-        disk = DiskCache(tmp_path)
-        assert disk.corrupt
-        assert disk.loaded_solver == 0
+        self.insert_verdict(tmp_path, "[[1,2,3]]", 1)
+        disk = open_store(tmp_path)
+        cache = SolverCache()
+        assert disk.seed(cache) == 0
+        assert list(cache.entries()) == []
+        disk.close()
 
     def test_non_boolean_verdict(self, tmp_path):
-        from repro.solver.portfolio import encode_key
-
-        self.write(
-            tmp_path,
-            json.dumps(
-                {
-                    "version": SCHEMA_VERSION,
-                    "solver": {"fourier": {encode_key(some_key()): "yes"}},
-                    "decls": {},
-                }
-            ),
+        # Only 0 and 1 are verdicts.  Read as a truth value, 7 or
+        # 'yes' would seed the cache with a proof nobody made.
+        key = some_key()
+        other = canonical_key(
+            [Atom(">=", LinComb(coeffs=(("x", 1),), const=-4))]
         )
-        assert DiskCache(tmp_path).corrupt
+        self.insert_verdict(tmp_path, encode_key(key), 7)
+        self.insert_verdict(tmp_path, encode_key(other), "yes")
+        disk = open_store(tmp_path)
+        cache = SolverCache()
+        assert disk.seed(cache) == 0
+        assert cache.lookup("fourier", key) is None
+        assert cache.lookup("fourier", other) is None
+        disk.close()
 
     def test_malformed_goal_record(self, tmp_path):
-        self.write(
-            tmp_path,
-            json.dumps(
-                {
-                    "version": SCHEMA_VERSION,
-                    "solver": {},
-                    "decls": {"abc": [["sub#1", True]]},
-                }
-            ),
-        )
-        disk = DiskCache(tmp_path)
-        assert disk.corrupt
-        assert disk.decl_lookup("abc") is None
+        for key, records in (
+            ("short", '[["sub#1", true]]'),
+            ("untyped", "[[1,2,3]]"),
+            ("not-json", "[[oops"),
+        ):
+            self.insert(
+                tmp_path,
+                "INSERT INTO decls (key, records) VALUES (?, ?)",
+                (key, records),
+            )
+        disk = open_store(tmp_path)
+        for key in ("short", "untyped", "not-json"):
+            assert disk.decl_lookup(key) is None, key
+        assert disk.decl_misses == 3
+        disk.close()
 
     def test_corrupt_file_is_overwritten_on_save(self, tmp_path):
-        self.write(tmp_path, "{not json")
-        disk = DiskCache(tmp_path)
+        (tmp_path / DB_FILENAME).write_bytes(b"garbage")
+        disk = open_store(tmp_path)
+        assert disk.absorb(filled_memory_cache()) == 1
         disk.decl_store("k", [("sub#1", True, "")])
-        disk.save()
-        fresh = DiskCache(tmp_path)
+        disk.close()
+        fresh = open_store(tmp_path)
         assert not fresh.corrupt
+        assert fresh.loaded_solver == 1
         assert fresh.decl_lookup("k") == [("sub#1", True, "")]
+        fresh.close()

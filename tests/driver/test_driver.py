@@ -1,9 +1,10 @@
 """The checking driver: parity, incrementality, and fallback behavior."""
 
-import pytest
+import sqlite3
 
 from repro import api, driver, programs
-from repro.driver.cache import CACHE_FILENAME, DiskCache
+from repro.driver.hashing import SCHEMA_VERSION
+from repro.driver.store import DB_FILENAME, SqliteVerdictStore
 
 GUARDED = (
     "fun f(x) = 10 div x\n"
@@ -24,56 +25,77 @@ def sequential_verdicts(name: str):
     return [(r.goal.origin, r.proved, r.reason) for r in report.goal_results]
 
 
+def check_with_store(source: str, name: str, root) -> driver.DriverReport:
+    """``check_program`` against a freshly opened store, as the next
+    process to run would see it."""
+    disk = driver.open_store(root)
+    try:
+        return driver.check_program(source, name, disk=disk)
+    finally:
+        disk.close()
+
+
 class TestParity:
     def test_parallel_matches_sequential_on_the_corpus(self):
-        for name in programs.available():
-            outcome = driver.check_program(
-                programs.load_source(name), f"{name}.dml", jobs=4
-            )
-            assert outcome.verdicts == sequential_verdicts(name), name
-
-    def test_corpus_thread_executor_matches_sequential(self, tmp_path):
-        corpus = driver.check_corpus(jobs=4, cache_dir=str(tmp_path))
+        corpus = driver.check_corpus(jobs=2, cache_dir=None)
         assert corpus.all_ok
         for row in corpus.rows:
             assert row.verdicts == sequential_verdicts(row.program), row.program
 
-    def test_corpus_process_executor_matches_thread(self, tmp_path):
-        names = ["bsearch", "dotprod"]
-        threaded = driver.check_corpus(
-            names, jobs=2, executor="thread", cache_dir=None
-        )
-        forked = driver.check_corpus(
-            names, jobs=2, executor="process", cache_dir=str(tmp_path)
-        )
-        assert [r.verdicts for r in forked.rows] == [
-            r.verdicts for r in threaded.rows
+    def test_corpus_matches_sequential(self, tmp_path):
+        corpus = driver.check_corpus(jobs=1, cache_dir=str(tmp_path))
+        assert corpus.all_ok
+        for row in corpus.rows:
+            assert row.verdicts == sequential_verdicts(row.program), row.program
+
+    def test_corpus_process_pool_writes_through_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """Each worker persists its own verdicts: the parent stores no
+        declaration record, and an in-process rerun replays them all.
+        Workers of a warm pool seed their caches from the store."""
+        stored = []
+        decl_store = SqliteVerdictStore.decl_store
+
+        def counting(self, key, records):
+            stored.append(key)
+            decl_store(self, key, records)
+
+        monkeypatch.setattr(SqliteVerdictStore, "decl_store", counting)
+        cold = driver.check_corpus(jobs=2, cache_dir=str(tmp_path), clear=True)
+        # Forked workers append to their own copies of the list.
+        assert stored == []
+        warm = driver.check_corpus(jobs=1, cache_dir=str(tmp_path))
+        assert [r.verdicts for r in warm.rows] == [
+            r.verdicts for r in cold.rows
         ]
-        # The parent merged and persisted the workers' verdicts.
-        assert driver.open_store(tmp_path).loaded_solver > 0
+        assert warm.goals_replayed == warm.goals == cold.goals > 0
+        assert warm.decl_misses == 0
+        assert stored  # the counter does see calls made in this process
+
+        pooled = driver.check_corpus(jobs=2, cache_dir=str(tmp_path))
+        assert pooled.goals_replayed == pooled.goals
+        assert pooled.cache_hits == pooled.queries > 0
 
 
 class TestIncrementality:
     def test_warm_rerun_replays_every_declaration(self, tmp_path):
         source = programs.load_source("bsearch")
-        disk = DiskCache(tmp_path)
-        cold = driver.check_program(source, "bsearch.dml", disk=disk)
+        cold = check_with_store(source, "bsearch.dml", tmp_path)
         assert cold.driver.goals_replayed == 0
         assert cold.driver.decl_misses > 0
 
-        warm_disk = DiskCache(tmp_path)  # re-read from disk: new process
-        warm = driver.check_program(source, "bsearch.dml", disk=warm_disk)
+        warm = check_with_store(source, "bsearch.dml", tmp_path)
         assert warm.verdicts == cold.verdicts
         assert warm.driver.goals_replayed == warm.driver.goals > 0
         assert warm.driver.decl_misses == 0
         assert warm.driver.preloaded > 0
 
     def test_editing_one_decl_invalidates_only_the_suffix(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        driver.check_program(EDIT_BASE, "edit.dml", disk=disk)
+        check_with_store(EDIT_BASE, "edit.dml", tmp_path)
 
         edited = EDIT_BASE.replace("sub(a, 1)", "sub(a, 0)")
-        warm = driver.check_program(edited, "edit.dml", disk=DiskCache(tmp_path))
+        warm = check_with_store(edited, "edit.dml", tmp_path)
         # f is untouched (replayed); g was edited (re-solved).
         assert warm.driver.decl_hits == 1
         assert warm.driver.decl_misses == 1
@@ -81,9 +103,8 @@ class TestIncrementality:
         assert all(proved for _, proved, _ in warm.verdicts)
 
     def test_renamed_variables_still_hit_the_solver_layer(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        telemetry_cold = driver.check_program(
-            EDIT_BASE, "edit.dml", disk=disk
+        telemetry_cold = check_with_store(
+            EDIT_BASE, "edit.dml", tmp_path
         ).report.telemetry
         assert telemetry_cold.cache_misses > 0
 
@@ -91,7 +112,7 @@ class TestIncrementality:
         # the decl layer misses, the canonical-key layer answers all.
         renamed = EDIT_BASE.replace("(a)", "(b)").replace("(a,", "(b,") \
                            .replace("sub(a,", "sub(b,")
-        warm = driver.check_program(renamed, "edit.dml", disk=DiskCache(tmp_path))
+        warm = check_with_store(renamed, "edit.dml", tmp_path)
         assert warm.driver.decl_hits == 0
         assert warm.driver.goals_replayed == 0
         telemetry = warm.report.telemetry
@@ -102,35 +123,41 @@ class TestIncrementality:
 
 class TestFallback:
     def test_corrupted_cache_file_falls_back_to_cold(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        driver.check_program(EDIT_BASE, "edit.dml", disk=disk)
-        (tmp_path / CACHE_FILENAME).write_text('{"version": 1, "solver": 7}')
+        check_with_store(EDIT_BASE, "edit.dml", tmp_path)
+        (tmp_path / DB_FILENAME).write_bytes(b"\x00torn write")
 
-        broken = DiskCache(tmp_path)
+        broken = driver.open_store(tmp_path)
         assert broken.corrupt
-        warm = driver.check_program(EDIT_BASE, "edit.dml", disk=broken)
+        try:
+            warm = driver.check_program(EDIT_BASE, "edit.dml", disk=broken)
+        finally:
+            broken.close()
         assert warm.driver.goals_replayed == 0
         assert warm.driver.preloaded == 0
         assert all(proved for _, proved, _ in warm.verdicts)
-        # The cold solve rewrote a valid cache.
-        assert DiskCache(tmp_path).loaded_solver > 0
+        # The cold solve rewrote a valid store.
+        rebuilt = driver.open_store(tmp_path)
+        assert not rebuilt.corrupt
+        assert rebuilt.loaded_solver > 0
+        rebuilt.close()
 
     def test_corpus_flags_a_corrupt_cache(self, tmp_path):
-        (tmp_path / CACHE_FILENAME).write_text("garbage")
+        # A store written under another schema version is dropped.
+        driver.check_corpus(["bsearch"], jobs=1, cache_dir=str(tmp_path))
+        conn = sqlite3.connect(tmp_path / DB_FILENAME)
+        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+        conn.close()
         report = driver.check_corpus(
             ["bsearch"], jobs=1, cache_dir=str(tmp_path)
         )
         assert report.corrupt_cache
+        assert report.preloaded == report.goals_replayed == 0
         assert report.all_ok
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            driver.check_corpus(["bsearch"], executor="fiber")
 
 
 class TestGuardGoals:
     def test_failed_guard_goal_reported_but_does_not_veto_elimination(self):
-        outcome = driver.check_program(GUARDED, "guarded.dml", jobs=2)
+        outcome = driver.check_program(GUARDED, "guarded.dml")
         origins = {origin: proved for origin, proved, _ in outcome.verdicts}
         guard_failures = [
             origin
@@ -147,11 +174,8 @@ class TestGuardGoals:
         ]
 
     def test_failed_guard_goal_survives_a_cached_rerun(self, tmp_path):
-        disk = DiskCache(tmp_path)
-        cold = driver.check_program(GUARDED, "guarded.dml", disk=disk)
-        warm = driver.check_program(
-            GUARDED, "guarded.dml", disk=DiskCache(tmp_path)
-        )
+        cold = check_with_store(GUARDED, "guarded.dml", tmp_path)
+        warm = check_with_store(GUARDED, "guarded.dml", tmp_path)
         assert warm.verdicts == cold.verdicts
         assert warm.driver.goals_replayed == warm.driver.goals
         assert any(site.startswith("sub#") for site in

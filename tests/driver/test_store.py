@@ -1,19 +1,15 @@
-"""The pluggable verdict store: backend parity, concurrent writers,
-migration, and corruption.
+"""The verdict store's contract, across processes and in the driver.
 
-The load-bearing claims (ISSUE 7):
+The load-bearing claims:
 
 * **no lost updates** — N processes absorbing *disjoint* verdict sets
-  into one store yield their exact union, for both the sqlite
-  (row-merge under WAL) and JSON (load-merge-save under an fcntl
-  lock) backends;
-* **migration** — an existing ``verdicts.json`` is imported one-way
-  into a fresh sqlite store, so switching backends never discards a
-  warm corpus;
-* **corruption** — a garbage sqlite file cold-starts exactly like the
-  long-standing corrupt-JSON path: ignored, never trusted, rebuilt;
-* **warm parity** — a store written by one process warms the next
-  identically across backends (same replay counts, same verdicts).
+  into one store yield their exact union (row merge under WAL);
+* **cross-run hit counts** — declaration replays accumulate across
+  runs;
+* **corruption** — a garbage store file is a flagged cold start,
+  never trusted, and rebuilt on the next save.
+
+Clearing, permissions and row-level corruption are in test_cache.py.
 """
 
 from __future__ import annotations
@@ -23,17 +19,9 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro import driver
-from repro.driver.cache import CACHE_FILENAME, DiskCache
-from repro.driver.core import _schedule_rare_first
-from repro.driver.store import (
-    DB_FILENAME,
-    SqliteVerdictStore,
-    open_store,
-)
+from repro.driver.store import DB_FILENAME, SqliteVerdictStore, open_store
 from repro.indices.linear import Atom, LinComb
 from repro.solver.portfolio import SolverCache, canonical_key
-
-BACKENDS = ["sqlite", "json"]
 
 
 def key_for(i: int):
@@ -48,23 +36,25 @@ def cache_with(start: int, count: int) -> SolverCache:
     return cache
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=[SqliteVerdictStore.kind])
 def backend(request):
+    """The store kind the contract tests run against, as the store
+    reports it in ``stats()`` and the corpus report."""
     return request.param
 
 
 class TestInterfaceParity:
-    """Every backend honors the same store contract."""
+    """The store contract the driver and the daemon rely on."""
 
     def test_round_trip(self, tmp_path, backend):
-        store = open_store(tmp_path, backend)
+        store = open_store(tmp_path)
         assert store.kind == backend
         assert store.absorb(cache_with(0, 3)) == 3
         store.decl_store("abc", [("sub#1", True, "")])
         store.save()
         store.close()
 
-        fresh = open_store(tmp_path, backend)
+        fresh = open_store(tmp_path)
         assert not fresh.corrupt
         assert fresh.loaded_solver == 3
         assert fresh.loaded_decls == 1
@@ -75,14 +65,14 @@ class TestInterfaceParity:
         fresh.close()
 
     def test_absorb_counts_only_new_entries(self, tmp_path, backend):
-        store = open_store(tmp_path, backend)
+        store = open_store(tmp_path)
         assert store.absorb(cache_with(0, 2)) == 2
         assert store.absorb(cache_with(0, 2)) == 0
         assert store.solver_entry_count == 2
         store.close()
 
     def test_clear_is_a_cold_start(self, tmp_path, backend):
-        store = open_store(tmp_path, backend)
+        store = open_store(tmp_path)
         store.absorb(cache_with(0, 2))
         store.decl_store("k", [("sub#1", True, "")])
         store.save()
@@ -91,37 +81,40 @@ class TestInterfaceParity:
         assert store.decl_entry_count == 0
         assert store.decl_lookup("k") is None
         store.close()
-        reopened = open_store(tmp_path, backend)
+        reopened = open_store(tmp_path)
         assert reopened.loaded_solver == 0
         assert reopened.loaded_decls == 0
         reopened.close()
 
     def test_stats_snapshot(self, tmp_path, backend):
-        store = open_store(tmp_path, backend)
+        store = open_store(tmp_path)
         store.absorb(cache_with(0, 2))
         store.decl_store("k", [("sub#1", True, "")])
         assert store.decl_lookup("k") is not None
         assert store.decl_lookup("missing") is None
-        stats = store.stats()
-        assert stats["backend"] == backend
-        assert stats["solver_entries"] == 2
-        assert stats["decl_entries"] == 1
-        assert stats["decl_hits"] == 1
-        assert stats["decl_misses"] == 1
-        assert stats["corrupt"] is False
+        assert store.stats() == {
+            "backend": backend,
+            "solver_entries": 2,
+            "decl_entries": 1,
+            "loaded_solver": 0,
+            "loaded_decls": 0,
+            "decl_hits": 1,
+            "decl_misses": 1,
+            "corrupt": False,
+        }
         store.close()
 
     def test_entry_count_properties_are_locked_reads(self, tmp_path, backend):
         # The counts are snapshots safe to read from a /stats thread
         # while a worker absorbs — exercised properly by the stress
         # test below; here just pin they exist on the interface.
-        store = open_store(tmp_path, backend)
+        store = open_store(tmp_path)
         assert store.solver_entry_count == 0
         assert store.decl_entry_count == 0
         store.close()
 
     def test_decl_hit_counts_accumulate_across_runs(self, tmp_path, backend):
-        store = open_store(tmp_path, backend)
+        store = open_store(tmp_path)
         store.decl_store("hot", [("sub#1", True, "")])
         store.decl_store("cold", [("sub#2", True, "")])
         store.decl_lookup("hot")
@@ -133,7 +126,7 @@ class TestInterfaceParity:
         store.save()
         store.close()
 
-        again = open_store(tmp_path, backend)
+        again = open_store(tmp_path)
         again.decl_lookup("hot")
         counts = again.decl_hit_counts()
         assert counts["hot"] == 3
@@ -146,13 +139,13 @@ class TestInterfaceParity:
 # ---------------------------------------------------------------------------
 
 
-def _absorb_worker(args: tuple[str, str, int, int, int]) -> int:
+def _absorb_worker(args: tuple[str, int, int, int]) -> int:
     """One writer process: absorb+save a disjoint slice in rounds, so
     concurrent save cycles genuinely interleave."""
-    root, backend, start, count, rounds = args
+    root, start, count, rounds = args
     added = 0
     per_round = count // rounds
-    store = open_store(root, backend)
+    store = open_store(root)
     try:
         for r in range(rounds):
             added += store.absorb(
@@ -173,18 +166,19 @@ class TestConcurrentWriters:
     ROUNDS = 3
 
     def test_disjoint_absorbs_yield_the_exact_union(self, tmp_path, backend):
-        """The acceptance criterion: daemon-style and corpus-style
-        absorbers hammering one store lose zero verdicts."""
+        """Daemon-style and corpus-style absorbers hammering one store
+        lose zero verdicts."""
         tasks = [
-            (str(tmp_path), backend, w * self.PER_WRITER,
-             self.PER_WRITER, self.ROUNDS)
+            (str(tmp_path), w * self.PER_WRITER, self.PER_WRITER,
+             self.ROUNDS)
             for w in range(self.WRITERS)
         ]
         with ProcessPoolExecutor(max_workers=self.WRITERS) as pool:
             added = list(pool.map(_absorb_worker, tasks))
         assert sum(added) == self.WRITERS * self.PER_WRITER
 
-        merged = open_store(tmp_path, backend)
+        merged = open_store(tmp_path)
+        assert merged.kind == backend
         assert merged.solver_entry_count == self.WRITERS * self.PER_WRITER
         # Every verdict is present and correct, not merely counted.
         seeded = SolverCache(maxsize=2 * self.WRITERS * self.PER_WRITER)
@@ -202,60 +196,14 @@ class TestConcurrentWriters:
 
 
 # ---------------------------------------------------------------------------
-# JSON -> sqlite migration
-# ---------------------------------------------------------------------------
-
-
-class TestMigration:
-    def test_first_sqlite_open_imports_the_json_store(self, tmp_path):
-        legacy = DiskCache(tmp_path)
-        legacy.absorb(cache_with(0, 5))
-        legacy.decl_store("abc", [("sub#1", True, "")])
-        legacy.save()
-
-        store = SqliteVerdictStore(tmp_path)
-        assert store.migrated_solver == 5
-        assert store.migrated_decls == 1
-        assert store.loaded_solver == 5
-        assert store.decl_lookup("abc") == [("sub#1", True, "")]
-        seeded = SolverCache()
-        assert store.seed(seeded) == 5
-        assert seeded.lookup("fourier", key_for(3)) is True
-        # One-way: the JSON file is untouched.
-        assert (tmp_path / CACHE_FILENAME).exists()
-        store.close()
-
-    def test_migration_happens_once(self, tmp_path):
-        DiskCache(tmp_path).save()
-        first = SqliteVerdictStore(tmp_path)
-        first.absorb(cache_with(0, 2))
-        first.close()
-        # The sqlite file now exists: a second open must not re-import
-        # (migrated counters stay zero, entries stay ours).
-        second = SqliteVerdictStore(tmp_path)
-        assert second.migrated_solver == 0
-        assert second.migrated_decls == 0
-        assert second.loaded_solver == 2
-        second.close()
-
-    def test_corrupt_json_migrates_to_a_flagged_cold_start(self, tmp_path):
-        (tmp_path / CACHE_FILENAME).write_text("{not json")
-        store = SqliteVerdictStore(tmp_path)
-        assert store.corrupt
-        assert store.loaded_solver == 0
-        assert store.migrated_solver == 0
-        store.close()
-
-
-# ---------------------------------------------------------------------------
-# Corruption (mirrors the long-standing corrupt-JSON contract)
+# Corruption
 # ---------------------------------------------------------------------------
 
 
 class TestSqliteCorruption:
     def test_garbage_bytes_cold_start(self, tmp_path):
         (tmp_path / DB_FILENAME).write_bytes(b"\x00garbage, not a database")
-        store = SqliteVerdictStore(tmp_path)
+        store = open_store(tmp_path)
         assert store.corrupt
         assert store.loaded_solver == store.loaded_decls == 0
         # The rebuilt store works and persists.
@@ -263,14 +211,14 @@ class TestSqliteCorruption:
         store.decl_store("k", [("sub#1", True, "")])
         store.save()
         store.close()
-        fresh = SqliteVerdictStore(tmp_path)
+        fresh = open_store(tmp_path)
         assert not fresh.corrupt
         assert fresh.loaded_solver == 2
         assert fresh.decl_lookup("k") == [("sub#1", True, "")]
         fresh.close()
 
     def test_malformed_decl_row_is_a_miss(self, tmp_path):
-        store = SqliteVerdictStore(tmp_path)
+        store = open_store(tmp_path)
         with store._lock:
             store._conn.execute(
                 "INSERT INTO decls (key, records) VALUES ('bad', '[[1,2]]')"
@@ -289,68 +237,18 @@ class TestSqliteCorruption:
 
 
 # ---------------------------------------------------------------------------
-# Driver integration: warm parity across backends, cache-aware order
+# Driver integration
 # ---------------------------------------------------------------------------
 
 
 class TestDriverIntegration:
-    NAMES = ["bsearch", "dotprod"]
-
-    def warm_pair(self, tmp_path, backend):
-        cold = driver.check_corpus(
-            self.NAMES, jobs=1, cache_dir=str(tmp_path / backend),
-            store=backend, clear=True,
-        )
-        warm = driver.check_corpus(
-            self.NAMES, jobs=1, cache_dir=str(tmp_path / backend),
-            store=backend,
-        )
-        return cold, warm
-
-    def test_warm_replay_parity_between_backends(self, tmp_path):
-        """A store written by one run warms the next identically no
-        matter the backend: same verdicts, same replay counts, same
-        hit rates as the single-process JSON baseline."""
-        sq_cold, sq_warm = self.warm_pair(tmp_path, "sqlite")
-        js_cold, js_warm = self.warm_pair(tmp_path, "json")
-        assert [r.verdicts for r in sq_cold.rows] == [
-            r.verdicts for r in js_cold.rows
-        ]
-        assert [r.verdicts for r in sq_warm.rows] == [
-            r.verdicts for r in js_warm.rows
-        ]
-        assert sq_warm.goals_replayed == js_warm.goals_replayed
-        assert sq_warm.goals_replayed == sq_warm.goals > 0
-        assert sq_warm.decl_misses == js_warm.decl_misses == 0
-        assert sq_warm.hit_rate == js_warm.hit_rate
-
     def test_store_choice_shows_in_the_report(self, tmp_path):
         report = driver.check_corpus(
-            ["dotprod"], jobs=1, cache_dir=str(tmp_path), store="json"
+            ["dotprod"], jobs=1, cache_dir=str(tmp_path)
         )
-        assert report.store == "json"
-        assert "store: json" in report.render()
+        assert report.store == "sqlite"
+        assert "store: sqlite" in report.render()
 
     def test_uncached_run_reports_no_store(self):
         report = driver.check_corpus(["dotprod"], jobs=1, cache_dir=None)
         assert report.store == "none"
-
-
-class TestCacheAwareScheduling:
-    def test_rare_decls_are_scheduled_first(self):
-        # Three decls: decl 0 globally hot, decl 1 unseen, decl 2 warm.
-        pending = [
-            (0, 0, "g00", None), (0, 1, "g01", None),
-            (1, 0, "g10", None),
-            (2, 0, "g20", None),
-        ]
-        keys = ["hot", "never", "warm"]
-        _schedule_rare_first(pending, keys, {"hot": 9, "warm": 2})
-        assert [task[0] for task in pending] == [1, 2, 0, 0]
-        # Stable within a declaration: goal order preserved.
-        assert [task[:2] for task in pending[2:]] == [(0, 0), (0, 1)]
-
-    def test_unkeyed_decls_count_as_rare(self):
-        pending = [(0, 0, "a", None), (1, 0, "b", None)]
-        _schedule_rare_first(pending, ["hot", None], {"hot": 5})
-        assert [task[0] for task in pending] == [1, 0]

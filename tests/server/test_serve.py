@@ -374,7 +374,7 @@ class TestPersistence:
                 answer = client.check(GOOD, "persist.dml")
             assert answer["ok"] is True
         finally:
-            first.stop()  # close() flushes the DiskCache
+            first.stop()  # close() flushes the store
 
         second = ServeDaemon(CheckService(config), port=0).start_in_thread()
         try:
@@ -385,25 +385,5 @@ class TestPersistence:
                 assert stats["store"]["solver_entries"] > 0
                 again = client.check(GOOD, "persist.dml")
             assert again["verdicts"] == answer["verdicts"]
-        finally:
-            second.stop()
-
-    def test_json_store_daemon_round_trips(self, tmp_path):
-        config = ServerConfig(
-            cache_dir=str(tmp_path / "serve-json"), store="json"
-        )
-        first = ServeDaemon(CheckService(config), port=0).start_in_thread()
-        try:
-            with ServeClient(first.port) as client:
-                assert client.check(GOOD, "p.dml")["ok"] is True
-        finally:
-            first.stop()
-
-        second = ServeDaemon(CheckService(config), port=0).start_in_thread()
-        try:
-            with ServeClient(second.port) as client:
-                stats = client.stats()
-            assert stats["store"]["backend"] == "json"
-            assert stats["cache"]["preloaded"] > 0
         finally:
             second.stop()

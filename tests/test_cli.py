@@ -1,5 +1,7 @@
 """Tests for the ``dml`` command line interface."""
 
+import sqlite3
+
 import pytest
 
 from repro.cli import _parse_value, main
@@ -107,13 +109,36 @@ class TestCommands:
 
     def test_compile_with_store(self, good_file, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        argv = ["compile", good_file, "--store", "sqlite",
-                "--cache-dir", str(cache_dir)]
+        argv = ["compile", good_file, "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
         assert (cache_dir / "verdicts.sqlite").exists()
         capsys.readouterr()
         assert main(argv) == 0  # second run warm-starts from the store
         assert "1/1 checks eliminated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, code", [
+        (GOOD, 0),
+        ("fun f(a) = sub(a, true)\n", 2),  # not ML-typable
+    ])
+    def test_compile_closes_the_store(self, tmp_path, monkeypatch, capsys,
+                                      source, code):
+        from repro.driver import store
+
+        opened = []
+        open_store = store.open_store
+
+        def tracking(root):
+            opened.append(open_store(root))
+            return opened[-1]
+
+        monkeypatch.setattr(store, "open_store", tracking)
+        path = tmp_path / "prog.dml"
+        path.write_text(source)
+        argv = ["compile", str(path), "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == code
+        (disk,) = opened
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            disk._conn.execute("SELECT 1")
 
     def test_run(self, good_file, capsys):
         assert main(["run", good_file, "f", "[|7, 8|]"]) == 0
@@ -385,3 +410,19 @@ class TestCheckCorpus:
     def test_unknown_program_is_an_argument_error(self, capsys):
         assert main(["check-corpus", "nope"]) == 2
         assert "unknown corpus program" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_front_end_error_names_the_program(self, tmp_path, jobs, capsys):
+        (tmp_path / "good.dml").write_text(GOOD)
+        (tmp_path / "bad.dml").write_text(
+            "fun f(a) = sub(a, 0)\nfun g(a) = sub(a, )\n"
+        )
+        argv = ["check-corpus", "--dir", str(tmp_path), "--no-cache",
+                "--jobs", jobs]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (
+            "error: bad.dml:2:19: ParseError: expected an expression, "
+            "found ')'"
+        )
+        assert err[1:] == ["fun g(a) = sub(a, )", " " * 18 + "^"]

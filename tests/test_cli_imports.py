@@ -16,7 +16,6 @@ import pytest
 from repro import cli, driver
 from repro.bench.workloads import PRESETS
 from repro.compile.dialects import dialect_names
-from repro.driver import store
 from repro.solver.backends import backend_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,9 +177,6 @@ def test_every_driver_export_resolves():
 
 def test_parser_choices_match_their_registries():
     assert cli.DIALECTS == dialect_names()
-    assert cli.STORE_BACKENDS == store.STORE_BACKENDS
-    assert cli.DEFAULT_STORE == store.DEFAULT_STORE
-    assert cli.DEFAULT_CACHE_DIR == store.DEFAULT_CACHE_DIR
     assert list(cli.PRESETS) == list(PRESETS)
 
 
