@@ -6,7 +6,8 @@ start method exists) — and for each:
 
 1. runs a cold/warm request pair per probe program and diffs both
    against the sequential ``api.check`` verdicts (the same triples
-   ``repro check`` renders);
+   ``repro check`` renders); the warm request must replay every goal
+   from the declaration records the cold one stored;
 2. runs one buffered ``/check-batch`` over the whole corpus and one
    *streamed* (chunked NDJSON) batch, and diffs every result;
 3. exercises admission control (negative budget -> HTTP 400) and the
@@ -103,9 +104,15 @@ def smoke(executor: str) -> None:
                             f"[{executor}] {label} /check verdict drift "
                             f"on {name}"
                         )
+                if warm["goals_replayed"] != warm["goals"]:
+                    fail(
+                        f"[{executor}] warm /check of {name} replayed "
+                        f"{warm['goals_replayed']} of {warm['goals']} goals"
+                    )
                 print(
                     f"ok [{executor}] {name}: cold {cold_ms:.1f} ms, "
-                    f"warm {warm_ms:.1f} ms"
+                    f"warm {warm_ms:.1f} ms, "
+                    f"{warm['goals_replayed']}/{warm['goals']} replayed"
                 )
 
             payloads = [

@@ -19,12 +19,14 @@ goals in the mix by construction) driven through ``check-corpus
 against a store, and a warm jobs=4 rerun must replay every goal the
 worker processes persisted, with the same verdicts.
 
-``--serve-executor-parity`` checks the daemon's executor promise
-(ISSUE 10): a ``repro serve`` daemon under ``--executor thread`` and
-one under ``--executor process`` (pre-forked warm workers) answer
-``/check``, buffered ``/check-batch``, and streamed NDJSON
-``/check-batch`` with verdicts byte-identical to sequential
-``api.check`` over the whole bundled corpus.
+``--serve-executor-parity`` checks the daemon's executor promise: a
+``repro serve`` daemon under ``--executor thread`` and one under
+``--executor process`` (pre-forked warm workers), each with its own
+verdict store, answer ``/check``, buffered ``/check-batch``, and
+streamed NDJSON ``/check-batch`` with verdicts byte-identical to
+sequential ``api.check`` over the whole bundled corpus.  Each daemon
+gets a cold ``/check`` pass, then a warm one that must replay every
+goal from the declaration records the cold pass stored.
 """
 
 from __future__ import annotations
@@ -121,9 +123,7 @@ def fuzz_corpus_parity() -> int:
 
 def serve_executor_parity() -> int:
     from repro import api, programs
-    from repro.server.app import ServeDaemon
     from repro.server.client import ServeClient
-    from repro.server.sessions import CheckService, ServerConfig
     from repro.server.workers import fork_available
 
     names = programs.available()
@@ -145,56 +145,78 @@ def serve_executor_parity() -> int:
         print("fork unavailable: process executor skipped", file=sys.stderr)
 
     for executor in executors:
-        service = CheckService(
-            ServerConfig(cache_dir=None, executor=executor, jobs=2)
-        )
-        daemon = ServeDaemon(service, port=0).start_in_thread()
-        try:
-            client = ServeClient(daemon.port)
-            for name in names:
-                answer = client.check(
-                    programs.load_source(name), f"{name}.dml"
-                )
-                if answer["verdicts"] != reference[name]:
-                    print(
-                        f"{executor} /check verdict drift on {name}",
-                        file=sys.stderr,
+        with tempfile.TemporaryDirectory(prefix="repro-serve-parity") as tmp:
+            failure = _serve_parity_one(
+                executor, tmp, names, reference, payloads
+            )
+        if failure:
+            print(failure, file=sys.stderr)
+            return 1
+
+    print(
+        f"serve executor parity ok: {len(names)} programs x "
+        f"{{{', '.join(executors)}}}, cold and warm /check + buffered + "
+        "streamed batches all match api.check, the warm pass replayed "
+        "every goal"
+    )
+    return 0
+
+
+def _serve_parity_one(
+    executor: str, cache_dir: str, names, reference, payloads
+) -> str | None:
+    """One daemon against a fresh store: the first failure, if any."""
+    from repro import programs
+    from repro.server.app import ServeDaemon
+    from repro.server.client import ServeClient
+    from repro.server.sessions import CheckService, ServerConfig
+
+    service = CheckService(
+        ServerConfig(cache_dir=cache_dir, executor=executor, jobs=2)
+    )
+    daemon = ServeDaemon(service, port=0).start_in_thread()
+    try:
+        with ServeClient(daemon.port) as client:
+            for label in ("cold", "warm"):
+                for name in names:
+                    answer = client.check(
+                        programs.load_source(name), f"{name}.dml"
                     )
-                    return 1
+                    if answer["verdicts"] != reference[name]:
+                        return (
+                            f"{executor} {label} /check verdict drift "
+                            f"on {name}"
+                        )
+                    if label == "warm" and (
+                        answer["goals_replayed"] != answer["goals"]
+                    ):
+                        return (
+                            f"{executor} warm /check of {name} replayed "
+                            f"{answer['goals_replayed']} of "
+                            f"{answer['goals']} goals"
+                        )
             for label, stream in (("buffered", False), ("streamed", True)):
                 results = client.check_batch(payloads, stream=stream)
                 for name, result in zip(names, results):
                     if result["verdicts"] != reference[name]:
-                        print(
+                        return (
                             f"{executor} {label} /check-batch verdict "
-                            f"drift on {name}",
-                            file=sys.stderr,
+                            f"drift on {name}"
                         )
-                        return 1
             stats = client.stats()
-            if stats["executor"] != executor:
-                print(
-                    f"stats reports executor {stats['executor']!r}, "
-                    f"expected {executor!r}",
-                    file=sys.stderr,
-                )
-                return 1
-            if stats["respawns"] != 0:
-                print(
-                    f"{executor} daemon respawned {stats['respawns']} "
-                    "worker(s) during a clean corpus run",
-                    file=sys.stderr,
-                )
-                return 1
-        finally:
-            daemon.stop()
-
-    print(
-        f"serve executor parity ok: {len(names)} programs x "
-        f"{{{', '.join(executors)}}}, /check + buffered + streamed "
-        "batches all match api.check"
-    )
-    return 0
+    finally:
+        daemon.stop()
+    if stats["executor"] != executor:
+        return (
+            f"stats reports executor {stats['executor']!r}, "
+            f"expected {executor!r}"
+        )
+    if stats["respawns"] != 0:
+        return (
+            f"{executor} daemon respawned {stats['respawns']} "
+            "worker(s) during a clean corpus run"
+        )
+    return None
 
 
 def main() -> int:

@@ -287,11 +287,12 @@ def check(
     layer (:mod:`repro.solver.slice`: relevancy slicing, subsumption,
     shared-prefix Fourier).  ``False`` is the ``--no-slice`` escape
     hatch; verdicts are identical either way.  ``slicing`` overrides
-    the per-check context with a caller-owned one — the checking
-    daemon (:mod:`repro.server`) shares a single :class:`SliceContext`
-    across requests so refuted cores and presolved prefixes stay warm;
-    the layer's invariant (never changes a verdict) makes the sharing
-    observationally equivalent to a fresh context.
+    the per-check context with a caller-owned one, shared across
+    checks so refuted cores and presolved prefixes stay warm (the
+    daemon does the same through
+    :func:`repro.driver.core.check_program`, which takes the same
+    parameter); the layer's invariant (never changes a verdict) makes
+    the sharing observationally equivalent to a fresh context.
     """
     backend, telemetry = _resolve_backend(backend, cache, telemetry)
     if slicing is None:

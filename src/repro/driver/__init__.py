@@ -23,7 +23,7 @@ from importlib import import_module
 
 #: Public name -> the submodule that defines it.  Names resolve on first
 #: access (PEP 562), so importing one submodule, say ``driver.store``
-#: for the server, does not run ``driver.core`` and its process pool.
+#: for ``repro compile --cache-dir``, does not run ``driver.core``.
 _EXPORTS = {
     "DEFAULT_CACHE_DIR": "store",
     "SqliteVerdictStore": "store",

@@ -23,14 +23,21 @@ service:
 
 :func:`check_program` proves each declaration's goals right after its
 existential variables are solved, in the order :func:`repro.api.check`
-uses, so its verdicts are identical to ``api.check``'s.
+uses, so its verdicts are identical to ``api.check``'s.  It is the
+loop behind ``check-corpus`` and behind every ``repro serve`` request
+(:mod:`repro.server`): the daemon passes its store, its shared solver
+cache and its shared slice context, so an editor re-sending a buffer
+replays every declaration above the edit.
+
+Importing this module loads no process pool: ``check_corpus`` imports
+``ProcessPoolExecutor`` only when ``jobs > 1``, so the daemon can load
+the driver at start-up without paying for ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import field
 from functools import partial
 from pathlib import Path
@@ -126,6 +133,7 @@ def check_program(
     persist: bool = True,
     limits: SolverLimits | None = None,
     slice_goals: bool = True,
+    slicing: SliceContext | None = None,
 ) -> DriverReport:
     """Check one program with incremental verdict replay.
 
@@ -142,13 +150,23 @@ def check_program(
     or a backend crash records the goal unproved and the batch
     continues).  Each *goal* gets its own budget/deadline.
 
+    A declaration record answers only a check under the same backend
+    and the same ``limits``: the envelope is part of its key, so a
+    budgeted run never replays verdicts a default run proved.
+
     ``slice_goals`` enables the verdict-preserving goal-preprocessing
     layer (:mod:`repro.solver.slice`); one :class:`SliceContext` is
     shared by all goals, so refuted cores and presolved hypothesis
     prefixes propagate across goals and declarations within the run.
+    ``slicing`` has :func:`repro.api.check`'s meaning: a caller-owned
+    context used when ``slice_goals`` is on (the daemon shares one
+    across requests), a fresh one per call otherwise.
     """
     telemetry = telemetry if telemetry is not None else SolverTelemetry()
-    slicing = SliceContext(telemetry) if slice_goals else None
+    if slicing is None:
+        slicing = SliceContext(telemetry) if slice_goals else None
+    elif not slice_goals:
+        slicing = None
     if cache is None:
         cache = SolverCache(maxsize=65536)
     stats = DriverStats()
@@ -165,7 +183,7 @@ def check_program(
     prelude = prelude_hash() if include_prelude else "none"
     keys = decl_keys(
         source, front.program.decls,
-        backend=_backend_name(backend), prelude=prelude,
+        backend=_backend_name(backend), prelude=prelude, limits=limits,
     )
     key_by_span = {
         (decl.span.start, decl.span.end): key
@@ -201,19 +219,19 @@ def check_program(
                            slicing=slicing)
                 for goal in goals
             ]
-        # A degraded verdict ("ran out of budget" / "backend crashed")
-        # is not a fact about the declaration; pinning it on disk would
-        # replay the failure even under a bigger budget or a fixed
-        # backend.  Re-solve next run.
-        if (
-            disk is not None
-            and decl_key is not None
-            and not any(r.budget_exhausted or r.crashed for r in results)
-        ):
-            disk.decl_store(
-                decl_key,
-                [(r.goal.origin, r.proved, r.reason) for r in results],
-            )
+            # A degraded verdict ("ran out of budget" / "backend
+            # crashed") is not a fact about the declaration; pinning it
+            # on disk would replay the failure even under a bigger
+            # budget or a fixed backend.  Re-solve next run.
+            if (
+                disk is not None
+                and decl_key is not None
+                and not any(r.budget_exhausted or r.crashed for r in results)
+            ):
+                disk.decl_store(
+                    decl_key,
+                    [(r.goal.origin, r.proved, r.reason) for r in results],
+                )
         goal_results.extend(results)
     for result in goal_results:
         solve_stats.goals += 1
@@ -566,6 +584,8 @@ def check_corpus(
             disk.clear()
         started = time.perf_counter()
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             preloaded = disk.loaded_solver if disk is not None else 0
             # Workers seed their caches only from a store that held
             # verdicts before this run.  Otherwise every row comes from

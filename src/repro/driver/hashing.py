@@ -6,8 +6,15 @@ a declaration can only depend on declarations *above* it, plus the
 prelude, plus the solver configuration — so we key each declaration by
 a **prefix chain hash**: a running SHA-256 over
 
-* a format-version / backend / prelude salt, then
+* a format-version / backend / prelude / solver-envelope salt, then
 * every declaration's source slice, in program order.
+
+The envelope is the effective per-goal ``max_steps`` and
+``goal_timeout`` (``None`` reads as
+:data:`~repro.solver.budget.DEFAULT_LIMITS`).  A record proved under
+one envelope must not answer a check under another: a ``--budget 3``
+run has to exhaust the goals a default run proved, exactly as
+``repro check --budget 3`` does.
 
 The key of declaration *i* is the digest after absorbing declarations
 ``0..i``.  Editing declaration *k* therefore changes the keys of *k*
@@ -29,6 +36,7 @@ import hashlib
 from typing import Sequence
 
 from repro.lang import ast
+from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 
 #: Bump when the meaning of a stored verdict changes (goal extraction,
 #: solver semantics, record layout).
@@ -58,12 +66,16 @@ def decl_keys(
     *,
     backend: str,
     prelude: str | None = None,
+    limits: SolverLimits | None = None,
 ) -> list[str]:
     """The prefix-chain key for every declaration, in program order."""
     if prelude is None:
         prelude = prelude_hash()
+    if limits is None:
+        limits = DEFAULT_LIMITS
     chain = hashlib.sha256(
-        f"repro-driver|v{SCHEMA_VERSION}|{backend}|{prelude}|".encode()
+        f"repro-driver|v{SCHEMA_VERSION}|{backend}|{prelude}|"
+        f"{limits.max_steps}|{limits.goal_timeout}|".encode()
     )
     keys = []
     for index, decl in enumerate(decls):

@@ -11,9 +11,11 @@ serves them over an asyncio HTTP/JSON protocol defined in
 blocking client the tests, the CI smoke job, and the benchmarks use.
 
 Verdicts are byte-identical to ``repro check`` on the same source: a
-request runs the exact :func:`repro.api.check` pipeline against an
-isolated prelude fork, and every piece of shared state (solver cache,
-slice context) is verdict-preserving by construction.
+request runs :func:`repro.driver.core.check_program`, whose verdicts
+equal :func:`repro.api.check`'s, against an isolated prelude fork, and
+every piece of shared state (solver cache, slice context, declaration
+records keyed by source prefix, backend and envelope) is
+verdict-preserving by construction.
 """
 
 from repro.server.app import ServeDaemon

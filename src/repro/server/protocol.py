@@ -198,13 +198,18 @@ def admit_limits(request: CheckRequest, caps: SolverLimits) -> SolverLimits:
 
 
 def check_response(
-    report: CheckReport, wall_seconds: float, limits: SolverLimits
+    report: CheckReport,
+    wall_seconds: float,
+    limits: SolverLimits,
+    goals_replayed: int,
 ) -> dict:
     """The JSON body answering one ``/check`` request.
 
     ``verdicts`` carries the exact ``(origin, proved, reason)`` triples
     of the sequential checker — the parity currency shared with the
     verdict store's declaration records and the CI smoke jobs.
+    ``goals_replayed`` counts the goals answered from stored
+    declaration records instead of being proved.
     """
     return {
         "name": report.name,
@@ -213,6 +218,7 @@ def check_response(
             [r.goal.origin, r.proved, r.reason] for r in report.goal_results
         ],
         "goals": report.stats.goals,
+        "goals_replayed": goals_replayed,
         "proved": report.stats.proved,
         "failed": report.stats.failed,
         "constraints": report.num_constraints,

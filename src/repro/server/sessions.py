@@ -2,8 +2,8 @@
 
 What stays warm across requests (and why each piece is safe to share):
 
-* **the elaborated prelude template** — :func:`repro.api.check`
-  already memoizes it process-wide; the service forces the
+* **the elaborated prelude template** — :mod:`repro.api` already
+  memoizes it process-wide; the service forces the
   elaboration at construction time so the *first* request is as warm
   as the rest.  Each request still gets an isolated session: the
   template is only ever :meth:`~repro.core.ml_infer.MLInferencer.fork`-ed,
@@ -25,6 +25,14 @@ What stays warm across requests (and why each piece is safe to share):
   presolved hypothesis prefixes are monotone, verdict-preserving
   facts, so accumulating them across requests only converts backend
   calls into hits.
+* **the declaration records** — every request runs
+  :func:`repro.driver.core.check_program` against the store, so a
+  declaration whose prefix-chain key (source above it, backend,
+  prelude and admitted envelope) already has a record replays its
+  verdicts instead of proving its goals again.  An editor re-sending
+  a buffer pays proofs only for the edited declaration and the ones
+  after it.  Degraded verdicts are never stored, and a daemon without
+  a store (``--no-cache``) proves every goal.
 
 Per request, nothing is shared: a fresh prelude fork, a fresh
 :class:`~repro.indices.terms.EvarStore`, a fresh per-request
@@ -44,6 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import field
 
 from repro import api
+from repro.driver.core import check_program
 from repro.driver.store import DEFAULT_CACHE_DIR, open_store
 from repro.lang.errors import DMLError
 from repro.records import record
@@ -188,6 +197,9 @@ class CheckService:
         self.rejected = 0
         self.check_errors = 0
         self.busy_seconds = 0.0
+        #: Goals answered from declaration records, summed from the
+        #: answers (so the process executor's workers count too).
+        self.goals_replayed = 0
         #: Recent per-check wall times (seconds) for /stats quantiles.
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         #: Thread mode: per-worker-thread [requests, busy_seconds].
@@ -212,24 +224,29 @@ class CheckService:
         telemetry = SolverTelemetry()
         started = time.perf_counter()
         try:
-            report = api.check(
+            outcome = check_program(
                 request.source,
                 request.name,
                 backend=request.backend or self.config.backend,
                 cache=self.cache,
+                disk=self.disk,
                 telemetry=telemetry,
+                seed=False,
+                persist=False,
                 limits=limits,
                 slice_goals=slice_goals,
-                slicing=self.slicing if slice_goals else None,
+                slicing=self.slicing,
             )
         except Exception:
             with self._lock:
                 self.check_errors += 1
             raise
         wall = time.perf_counter() - started
+        replayed = outcome.driver.goals_replayed
         with self._lock:
             self.checks += 1
             self.busy_seconds += wall
+            self.goals_replayed += replayed
             self.telemetry.merge(telemetry)
             self._latencies.append(wall)
             per = self._thread_stats.setdefault(
@@ -238,7 +255,7 @@ class CheckService:
             per[0] += 1
             per[1] += wall
         self._persist(final=False)
-        return check_response(report, wall, limits)
+        return check_response(outcome.report, wall, limits, replayed)
 
     def _check_in_worker(self, request: CheckRequest) -> dict:
         """Process mode: ship one admission-clamped request to a
@@ -262,6 +279,7 @@ class CheckService:
             if kind == "ok":
                 self.checks += 1
                 self.busy_seconds += busy
+                self.goals_replayed += payload["goals_replayed"]
                 self._latencies.append(wall)
                 if delta is not None:
                     self.telemetry.merge(SolverTelemetry(**delta))
@@ -345,6 +363,7 @@ class CheckService:
             batch_items = self.batch_items
             rejected, errors = self.rejected, self.check_errors
             busy = self.busy_seconds
+            replayed = self.goals_replayed
             samples = sorted(self._latencies)
             thread_rows = [
                 {
@@ -379,6 +398,7 @@ class CheckService:
             "workers": worker_rows,
             "respawns": respawns,
             "checks": checks,
+            "goals_replayed": replayed,
             "batches": batches,
             "batch_items": batch_items,
             "rejected": rejected,

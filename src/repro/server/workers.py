@@ -28,11 +28,14 @@ Lifecycle and safety:
   request fails with a contained error and the daemon keeps serving.
   Respawns fork from the *current* parent, so they come up as warm as
   the original pool.
-* **Parity** — workers run the exact per-request pipeline of thread
-  mode (admission-clamped limits, per-request telemetry, worker-local
-  slice context); caches and slicing are verdict-preserving by the
-  repo-wide invariant, so verdicts are byte-identical across
-  executors (CI: ``verdict_parity.py --serve-executor-parity``).
+* **Parity** — workers make thread mode's exact per-request call,
+  :func:`repro.driver.core.check_program` (admission-clamped limits,
+  per-request telemetry, worker-local slice context), against their
+  own store connection, so a worker replays the declaration records
+  its siblings wrote; caches, slicing and replay are
+  verdict-preserving by the repo-wide invariant, so verdicts are
+  byte-identical across executors (CI: ``verdict_parity.py
+  --serve-executor-parity``, cold and warm).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import time
 from dataclasses import asdict, field
 from typing import TYPE_CHECKING
 
-from repro import api
+from repro.driver.core import check_program
 from repro.driver.store import open_store
 from repro.lang.errors import DMLError
 from repro.records import record
@@ -120,22 +123,27 @@ def _worker_main(
                 max_steps=request["max_steps"],
                 goal_timeout=request["goal_timeout"],
             )
-            wants_slicing = request["slice_goals"] and slice_goals
-            report = api.check(
+            outcome = check_program(
                 request["source"],
                 request["name"],
                 backend=request["backend"] or backend_default,
                 cache=cache,
+                disk=disk,
                 telemetry=telemetry,
+                seed=False,
+                persist=False,
                 limits=limits,
-                slice_goals=wants_slicing,
-                slicing=slicing if wants_slicing else None,
+                slice_goals=request["slice_goals"] and slice_goals,
+                slicing=slicing,
             )
             busy = time.perf_counter() - started
             delta = asdict(telemetry)
             for name, prior in zip(_SLICE_FIELDS, before):
                 delta[name] += getattr(pool_telemetry, name) - prior
-            reply = ("ok", check_response(report, busy, limits), busy, delta)
+            response = check_response(
+                outcome.report, busy, limits, outcome.driver.goals_replayed
+            )
+            reply = ("ok", response, busy, delta)
             unsaved += 1
             if disk is not None and unsaved >= _WORKER_PERSIST_EVERY:
                 disk.absorb(cache)

@@ -5,6 +5,9 @@ import sqlite3
 from repro import api, driver, programs
 from repro.driver.hashing import SCHEMA_VERSION
 from repro.driver.store import DB_FILENAME, SqliteVerdictStore
+from repro.solver.budget import SolverLimits
+from repro.solver.portfolio import SolverTelemetry
+from repro.solver.slice import SliceContext
 
 GUARDED = (
     "fun f(x) = 10 div x\n"
@@ -25,14 +28,29 @@ def sequential_verdicts(name: str):
     return [(r.goal.origin, r.proved, r.reason) for r in report.goal_results]
 
 
-def check_with_store(source: str, name: str, root) -> driver.DriverReport:
+def check_with_store(
+    source: str, name: str, root, **options
+) -> driver.DriverReport:
     """``check_program`` against a freshly opened store, as the next
     process to run would see it."""
     disk = driver.open_store(root)
     try:
-        return driver.check_program(source, name, disk=disk)
+        return driver.check_program(source, name, disk=disk, **options)
     finally:
         disk.close()
+
+
+def count_decl_stores(monkeypatch) -> list[str]:
+    """The keys of every declaration record this process writes."""
+    stored = []
+    decl_store = SqliteVerdictStore.decl_store
+
+    def counting(self, key, records):
+        stored.append(key)
+        decl_store(self, key, records)
+
+    monkeypatch.setattr(SqliteVerdictStore, "decl_store", counting)
+    return stored
 
 
 class TestParity:
@@ -54,14 +72,7 @@ class TestParity:
         """Each worker persists its own verdicts: the parent stores no
         declaration record, and an in-process rerun replays them all.
         Workers of a warm pool seed their caches from the store."""
-        stored = []
-        decl_store = SqliteVerdictStore.decl_store
-
-        def counting(self, key, records):
-            stored.append(key)
-            decl_store(self, key, records)
-
-        monkeypatch.setattr(SqliteVerdictStore, "decl_store", counting)
+        stored = count_decl_stores(monkeypatch)
         cold = driver.check_corpus(jobs=2, cache_dir=str(tmp_path), clear=True)
         # Forked workers append to their own copies of the list.
         assert stored == []
@@ -71,7 +82,12 @@ class TestParity:
         ]
         assert warm.goals_replayed == warm.goals == cold.goals > 0
         assert warm.decl_misses == 0
-        assert stored  # the counter does see calls made in this process
+        # The counter does see calls made in this process (a replayed
+        # record is not rewritten, so take them from a cold run).
+        driver.check_corpus(
+            ["bsearch"], jobs=1, cache_dir=str(tmp_path / "in-process")
+        )
+        assert stored
 
         pooled = driver.check_corpus(jobs=2, cache_dir=str(tmp_path))
         assert pooled.goals_replayed == pooled.goals
@@ -90,6 +106,14 @@ class TestIncrementality:
         assert warm.driver.goals_replayed == warm.driver.goals > 0
         assert warm.driver.decl_misses == 0
         assert warm.driver.preloaded > 0
+
+    def test_a_replayed_record_is_not_rewritten(self, tmp_path, monkeypatch):
+        stored = count_decl_stores(monkeypatch)
+        cold = check_with_store(EDIT_BASE, "edit.dml", tmp_path)
+        assert len(stored) == cold.driver.decl_misses == 2
+        warm = check_with_store(EDIT_BASE, "edit.dml", tmp_path)
+        assert warm.driver.decl_hits == 2
+        assert len(stored) == 2
 
     def test_editing_one_decl_invalidates_only_the_suffix(self, tmp_path):
         check_with_store(EDIT_BASE, "edit.dml", tmp_path)
@@ -119,6 +143,49 @@ class TestIncrementality:
         assert telemetry.queries > 0
         assert telemetry.cache_misses == 0
         assert all(proved for _, proved, _ in warm.verdicts)
+
+
+class TestLimits:
+    def test_a_budgeted_run_does_not_replay_a_default_record(self, tmp_path):
+        """A record proved under the default envelope must not answer
+        a check under a smaller one: the budgeted run exhausts exactly
+        what ``api.check`` with that budget exhausts."""
+        source = programs.load_source("bsearch")
+        tight = SolverLimits(max_steps=3)
+        check_with_store(source, "bsearch.dml", tmp_path)
+        budgeted = check_with_store(
+            source, "bsearch.dml", tmp_path, limits=tight
+        )
+        reference = api.check(source, "bsearch.dml", limits=tight)
+        assert budgeted.driver.goals_replayed == 0
+        assert budgeted.verdicts == [
+            (r.goal.origin, r.proved, r.reason)
+            for r in reference.goal_results
+        ]
+        assert budgeted.report.stats.proved == reference.stats.proved == 0
+        assert (budgeted.report.stats.budget_exhausted
+                == reference.stats.budget_exhausted
+                == budgeted.driver.goals > 0)
+
+
+class TestSlicingContext:
+    def test_a_caller_owned_context_is_used(self):
+        telemetry = SolverTelemetry()
+        slicing = SliceContext(telemetry)
+        outcome = driver.check_program(
+            programs.load_source("bsearch"), "bsearch.dml", slicing=slicing
+        )
+        assert telemetry.sliced_queries > 0
+        assert outcome.report.telemetry.sliced_queries == 0
+
+    def test_slice_goals_off_ignores_the_context(self):
+        telemetry = SolverTelemetry()
+        outcome = driver.check_program(
+            programs.load_source("bsearch"), "bsearch.dml",
+            slice_goals=False, slicing=SliceContext(telemetry),
+        )
+        assert telemetry.sliced_queries == 0
+        assert outcome.verdicts == sequential_verdicts("bsearch")
 
 
 class TestFallback:

@@ -2,6 +2,7 @@
 
 from repro.driver import hashing
 from repro.lang.parser import parse_program
+from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 
 BASE = (
     "fun one(x) = x + 1\n"
@@ -60,6 +61,16 @@ class TestDeclKeys:
         real = keys_of(BASE)
         other = keys_of(BASE, prelude="deadbeef")
         assert set(real).isdisjoint(other)
+
+    def test_limits_are_part_of_the_key(self):
+        default = keys_of(BASE)
+        assert keys_of(BASE, limits=DEFAULT_LIMITS) == default
+        steps = keys_of(BASE, limits=SolverLimits(max_steps=3))
+        timeout = keys_of(BASE, limits=SolverLimits(goal_timeout=0.5))
+        unlimited = keys_of(BASE, limits=SolverLimits.unlimited())
+        for other in (steps, timeout, unlimited):
+            assert set(other).isdisjoint(default)
+        assert set(steps).isdisjoint(timeout)
 
     def test_identical_decl_texts_do_not_collide(self):
         twice = "fun f(x) = x\nfun f(x) = x\n"

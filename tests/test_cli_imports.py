@@ -168,6 +168,17 @@ def test_driver_store_does_not_run_driver_core():
                                        "concurrent.futures")) == []
 
 
+def test_the_daemon_and_the_driver_load_no_process_pool():
+    # The daemon imports the driver at start-up; ``check_corpus``
+    # imports its process pool only when it fans out (``jobs > 1``).
+    result = _child(
+        "import json, sys\n"
+        "import repro.server.sessions, repro.driver.core\n"
+        "print(json.dumps({'modules': sorted(sys.modules)}))\n"
+    )
+    assert _loaded(result["modules"], ("multiprocessing",)) == []
+
+
 def test_every_driver_export_resolves():
     for name in driver.__all__:
         assert getattr(driver, name) is not None, name
