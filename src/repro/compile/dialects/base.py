@@ -48,9 +48,16 @@ class Dialect(ABC):
     """One value-representation backend for generated Python.
 
     Emission methods return *expression strings* spliced into the
-    generated module; the operand strings they receive are already
-    atomic (plain names or temporaries), so they may be mentioned more
-    than once without re-evaluation.
+    generated module.  An access's operands are names, literals or
+    integer arithmetic over them, so they may be mentioned more than
+    once without a visible difference; a constructor's operands are
+    arbitrary expressions, to be evaluated once each, in order.
+
+    A dialect emits only *unchecked* accesses.  The core builds every
+    kept check from them: a read is
+    ``(R if T else _oob(a, i))`` and a discarded write is
+    ``if not T: _oob(a, i)`` followed by the store, where ``R`` is
+    :meth:`emit_guarded_read` and ``T`` is :meth:`emit_in_bounds`.
     """
 
     #: Registry name (``--dialect`` on the CLI).
@@ -83,23 +90,35 @@ class Dialect(ABC):
         return ""
 
     @abstractmethod
-    def emit_read(self, array: str, index: str, checked: bool) -> str:
-        """An array read ``sub(array, index)``."""
+    def emit_read(self, array: str, index: str) -> str:
+        """An unchecked read ``sub(array, index)``."""
+
+    def emit_guarded_read(self, array: str, index: str) -> str:
+        """The read a kept check makes once its bound test passed: the
+        unchecked read in every dialect.  A fault dialect that breaks
+        :meth:`emit_read` keeps this one healthy, so that only
+        eliminated reads go wrong."""
+        return self.emit_read(array, index)
 
     @abstractmethod
-    def emit_write(self, array: str, index: str, value: str,
-                   checked: bool) -> str:
-        """An array write ``update(array, index, value)`` (evaluates to
-        unit)."""
+    def emit_write(self, array: str, index: str, value: str) -> str:
+        """An unchecked write ``update(array, index, value)`` (evaluates
+        to unit)."""
 
     #: ``emit_store(array, index, value)``: an unchecked write as a
     #: statement, used where the write's unit is discarded.  ``None``
-    #: means the dialect has no such form and every write stays an
-    #: :meth:`emit_write` call.
+    #: means the dialect has no such form and such a write is an
+    #: :meth:`emit_write` expression statement.
     emit_store: Any = None
 
     def emit_length(self, array: str) -> str:
         return f"len({array})"
+
+    def emit_in_bounds(self, array: str, index: str) -> str:
+        """The bound test of a kept check.  It evaluates ``array``
+        before ``index``: the core may pass operands that bind a
+        temporary on first evaluation."""
+        return f"{self.emit_length(array)} > {index} >= 0"
 
     @abstractmethod
     def emit_make(self, size: str, init: str) -> str:

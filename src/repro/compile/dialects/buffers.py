@@ -19,9 +19,10 @@ matches ``plain`` exactly and the fast representation is kept for the
 (overwhelmingly common) programs that never leave int64.
 
 Reads stay cheap: the generated code accesses ``a.buf[i]`` directly
-(one slot load; no method dispatch) in the packed dialect, and the
-dunder protocol below keeps the generic checked helpers
-(``_subc``/``_updc``/``len``) working unchanged on any Buf.
+(one slot load; no method dispatch) in the packed dialect, kept reads
+included, and the dunder protocol below keeps the generic checked
+helpers (``_subc``/``_updc``/``len``) that first-class ``sub`` and
+``update`` values call working unchanged on any Buf.
 
 :class:`NpBuf` additionally unboxes reads: an ``np.int64`` scalar
 leaking into generated arithmetic silently *wraps* past 2^63 where
@@ -62,7 +63,7 @@ class Buf:
     # -- sequence protocol -------------------------------------------------
     #
     # The generic runtime helpers (_subc/_updc/_upd, len) drive Bufs
-    # through these; the hot unchecked paths bypass them via direct
+    # through these; generated accesses bypass them via direct
     # ``a.buf[i]`` emission in the dialects.
 
     def __len__(self) -> int:

@@ -34,7 +34,7 @@ from typing import Any
 from repro.compile.dialects.base import map_structure, parens
 from repro.compile.dialects.buffers import Buf, NpBuf
 from repro.compile.dialects.plain import PlainDialect
-from repro.compile.support import _oob
+from repro.compile.support import _size
 
 _I64_MIN = -(2 ** 63)
 _I64_MAX = 2 ** 63 - 1
@@ -61,7 +61,7 @@ def _fits(x: Any) -> bool:
 
 def _np_mk(n: int, v: Any) -> NpBuf:
     np = _numpy()
-    if n <= 0:
+    if _size(n) == 0:
         return NpBuf([])
     if np is not None and _fits(v):
         return NpBuf(np.full(n, v, dtype=np.int64))
@@ -70,7 +70,7 @@ def _np_mk(n: int, v: Any) -> NpBuf:
 
 def _np_tab(n: int, f: Any) -> NpBuf:
     np = _numpy()
-    items = [f(_i) for _i in range(n)]
+    items = [f(_i) for _i in range(_size(n))]
     if np is not None and items and all(_fits(x) for x in items):
         return NpBuf(np.asarray(items, dtype=np.int64))
     return NpBuf(items)
@@ -93,18 +93,6 @@ def _upd_np(a: NpBuf, i: int, v: Any) -> tuple:
     return ()
 
 
-def _updc_np(a: NpBuf, i: int, v: Any) -> tuple:
-    """Checked write with repack-on-overflow."""
-    buf = a.buf
-    if not 0 <= i < len(buf):
-        _oob(i)
-    try:
-        buf[i] = v
-    except OverflowError:
-        a.demote()[i] = v
-    return ()
-
-
 class NumpyDialect(PlainDialect):
     name = "numpy"
     description = "numpy int64 ndarrays (optional; guarded import)"
@@ -120,21 +108,17 @@ class NumpyDialect(PlainDialect):
     def prelude(self) -> str:
         return (
             "from repro.compile.dialects.numpy_backend import "
-            "_np_mk, _np_tab, _sub_np, _upd_np, _updc_np\n"
+            "_np_mk, _np_tab, _sub_np, _upd_np\n"
         )
 
-    def emit_read(self, array: str, index: str, checked: bool) -> str:
-        if checked:
-            return f"_subc({array}, {index})"
-        # Unchecked reads go through the unboxing helper: a bare
-        # ``a.buf[i]`` would leak an np.int64 scalar whose arithmetic
-        # wraps instead of promoting to a bignum.
+    def emit_read(self, array: str, index: str) -> str:
+        # Reads go through the unboxing helper: a bare ``a.buf[i]``
+        # would leak an np.int64 scalar whose arithmetic wraps instead
+        # of promoting to a bignum.
         return f"_sub_np({array}, {index})"
 
-    def emit_write(self, array: str, index: str, value: str,
-                   checked: bool) -> str:
-        helper = "_updc_np" if checked else "_upd_np"
-        return f"{helper}({array}, {index}, {value})"
+    def emit_write(self, array: str, index: str, value: str) -> str:
+        return f"_upd_np({array}, {index}, {value})"
 
     #: Writes repack on overflow, so none becomes a bare store.
     emit_store = None

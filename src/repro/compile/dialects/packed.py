@@ -34,7 +34,7 @@ from typing import Any
 from repro.compile.dialects.base import map_structure, parens
 from repro.compile.dialects.buffers import Buf
 from repro.compile.dialects.plain import PlainDialect
-from repro.compile.support import _oob
+from repro.compile.support import _size
 
 _I64_MIN = -(2 ** 63)
 _I64_MAX = 2 ** 63 - 1
@@ -46,7 +46,7 @@ def _fits(x: Any) -> bool:
 
 def _mk_arr(n: int, v: Any) -> Buf:
     """Runtime ``array(n, v)`` constructor: pack when monomorphic int."""
-    if n <= 0:
+    if _size(n) == 0:
         return Buf([])
     if _fits(v):
         return Buf(_pyarray("q", (v,)) * n)
@@ -55,7 +55,7 @@ def _mk_arr(n: int, v: Any) -> Buf:
 
 def _mk_tab(n: int, f: Any) -> Buf:
     """Runtime ``tabulate(n, f)`` constructor."""
-    items = [f(_i) for _i in range(n)]
+    items = [f(_i) for _i in range(_size(n))]
     if items and all(_fits(x) for x in items):
         return Buf(_pyarray("q", items))
     return Buf(items)
@@ -70,42 +70,25 @@ def _upd_pk(a: Buf, i: int, v: Any) -> tuple:
     return ()
 
 
-def _updc_pk(a: Buf, i: int, v: Any) -> tuple:
-    """Checked packed write with repack-on-overflow."""
-    buf = a.buf
-    if not 0 <= i < len(buf):
-        _oob(i)
-    try:
-        buf[i] = v
-    except OverflowError:
-        a.demote()[i] = v
-    return ()
-
-
 class PackedDialect(PlainDialect):
     name = "packed"
     description = "array('q') int64 buffers for monomorphic int arrays"
 
-    # Checked reads are inherited (_subc drives the Buf through its
-    # sequence dunders); the unchecked hot paths below go straight at
-    # the cell slot so a proved site costs one attribute load plus the
-    # C-level buffer index.
+    # Accesses go straight at the cell slot, so a proved read costs one
+    # attribute load plus the C-level buffer index, and a kept one adds
+    # the inline bound test on ``len(a.buf)``.
 
     def prelude(self) -> str:
         return (
             "from repro.compile.dialects.packed import "
-            "_mk_arr, _mk_tab, _upd_pk, _updc_pk\n"
+            "_mk_arr, _mk_tab, _upd_pk\n"
         )
 
-    def emit_read(self, array: str, index: str, checked: bool) -> str:
-        if checked:
-            return f"_subc({array}, {index})"
+    def emit_read(self, array: str, index: str) -> str:
         return f"{parens(array)}.buf[{index}]"
 
-    def emit_write(self, array: str, index: str, value: str,
-                   checked: bool) -> str:
-        helper = "_updc_pk" if checked else "_upd_pk"
-        return f"{helper}({array}, {index}, {value})"
+    def emit_write(self, array: str, index: str, value: str) -> str:
+        return f"_upd_pk({array}, {index}, {value})"
 
     #: Writes repack on overflow, so none becomes a bare store.
     emit_store = None

@@ -17,9 +17,13 @@ site checks in every dialect.
 Core code-generation decisions:
 
 * a **statically proved** ``sub`` compiles to the dialect's unchecked
-  read (a bare ``a[i]`` in every current dialect); an unproved one
-  calls the checked helper ``_subc`` — mirroring SML's
-  ``Unsafe.Array.sub`` vs safe ``sub``;
+  read (a bare ``a[i]`` in ``plain``); an unproved one is the same read
+  behind an inline bound test,
+  ``(a[i] if len(a) > i >= 0 else _oob(a, i))`` — mirroring SML's
+  ``Unsafe.Array.sub`` vs safe ``sub``, whose check is a compare and
+  branch, not a call.  Kept ``update``/``hd``/``tl`` checks are inline
+  too; an operand that is not a name, a literal or integer arithmetic
+  over them is evaluated once, in order (see :meth:`PyCodegen._kept_access`);
 * arithmetic, comparisons and boolean operators inline to Python
   operators (SML ``div``/``mod`` are floor-based, exactly Python's
   ``//`` and ``%``);
@@ -40,10 +44,11 @@ Core code-generation decisions:
   ever appears as the function of a direct application takes **flat
   parameters** ``def f(x1, …, xk)`` (see :func:`_flat_funs`); every
   other function, and every top-level one, takes one tuple;
-* an eliminated ``update`` whose unit is discarded (a non-final ``;``
-  item or a tail write) is the dialect's **store statement** where it
-  has one (``a[i] = v`` in ``plain``), just as an eliminated read is
-  ``a[i]``;
+* an ``update`` whose unit is discarded (a non-final ``;`` item, a
+  ``val _ =`` or a tail write) is the dialect's **store statement**
+  where it has one (``a[i] = v`` in ``plain``), just as an eliminated
+  read is ``a[i]``; a kept one puts ``if not len(a) > i >= 0:
+  _oob(a, i)`` in front of the store;
 * every binder, local functions included, gets a fresh versioned Python
   name, making ML shadowing and branch-local ``let``s safe in Python's
   function-level scope; only top-level functions keep their
@@ -66,9 +71,9 @@ from repro.records import record
 
 _PRELUDE = '''\
 from repro.compile.support import (
-    _compare, _hdc, _match_fail, _nth_checked, _nth_unchecked, _oob,
-    _ce, _cp, _raise, _subc, _tag_err, _tlc, _upd, _updc, from_pylist,
-    to_pylist,
+    _compare, _empty, _hdc, _match_fail, _mk_list, _nth_checked,
+    _nth_unchecked, _oob, _ce, _cp, _raise, _subc, _tab_list, _tlc, _upd,
+    _updc, from_pylist, to_pylist,
 )
 from repro.lang.errors import RaisedException as _Raised
 '''
@@ -223,6 +228,9 @@ class PyCodegen:
                              ast.DTypeAbbrev, ast.DException)):
             return
         if isinstance(decl, ast.DVal):
+            if isinstance(decl.pat, ast.PWild):
+                self._emit_effect(decl.expr, scope)
+                return
             value = self.compile_expr(decl.expr, scope)
             self._emit_irrefutable_bind(decl.pat, value, scope)
             return
@@ -463,7 +471,7 @@ class PyCodegen:
             ):
                 self._emit_loop_step(spine, subjects, scope)
                 return
-        if self._is_store(expr, scope):
+        if self._is_statement_write(expr, scope):
             self._emit_effect(expr, scope)
             self.out.emit("return ()")
             return
@@ -494,30 +502,47 @@ class PyCodegen:
                           f"{', '.join(v for _, v in changed)}")
         self.out.emit("continue")
 
-    def _is_store(self, expr: ast.Expr, scope: dict[str, str]) -> bool:
-        """Is ``expr`` an eliminated ``update`` the dialect can emit as
-        a store statement (instrumented builds keep their counters)?"""
+    def _is_statement_write(self, expr: ast.Expr,
+                            scope: dict[str, str]) -> bool:
+        """Is ``expr`` a write that compiles to statements where its unit
+        is discarded: a kept one (an inline bound test, then the store)
+        or an eliminated one the dialect can store directly?
+        Instrumented builds keep their counters on the expression."""
         return (
-            self.dialect.emit_store is not None
-            and not self.instrument
+            not self.instrument
             and isinstance(expr, ast.EApp)
             and isinstance(expr.fn, ast.EVar)
-            and expr.fn.name == "update"
-            and "update" not in scope
+            and expr.fn.name in ("update", "updateCK")
+            and expr.fn.name not in scope
             and isinstance(expr.arg, ast.ETuple)
-            and getattr(expr, "site_id", None) in self.unchecked
+            and (self._is_kept(expr.fn.name, expr)
+                 or self.dialect.emit_store is not None)
         )
 
     def _emit_effect(self, expr: ast.Expr, scope: dict[str, str]) -> None:
         """Emit ``expr`` as a statement whose value is discarded."""
-        if not self._is_store(expr, scope):
+        if not self._is_statement_write(expr, scope):
             self.out.emit(self.compile_expr(expr, scope))
             return
-        a, i, v = [self.compile_expr(e, scope) for e in expr.arg.items]
-        # ``a[i] = v`` evaluates v first: bind a non-atomic array or
-        # index to a temporary, so the order stays a, i, v.
-        a, i = self._ensure_atom(a), self._ensure_atom(i)
-        self.out.emit(self.dialect.emit_store(a, i, v))
+        kept = self._is_kept(expr.fn.name, expr)
+        # ``a[i] = v`` evaluates v first, and a kept write tests a and i
+        # before v: bind each operand that is not simple to a temporary,
+        # in order, so evaluation stays a, i, v.
+        a, i, v = expr.arg.items
+        a, i = self._simple_or_temp(a, scope), self._simple_or_temp(i, scope)
+        v = (self._simple_or_temp(v, scope) if kept
+             else self.compile_expr(v, scope))
+        if kept:
+            self.out.emit(f"if not {self.dialect.emit_in_bounds(a, i)}:")
+            with self.out.block():
+                self.out.emit(f"_oob({a}, {i})")
+        store = self.dialect.emit_store or self.dialect.emit_write
+        self.out.emit(store(a, i, v))
+
+    def _simple_or_temp(self, expr: ast.Expr, scope: dict[str, str]) -> str:
+        """``expr``'s code, bound to a temporary unless it is simple."""
+        code = self.compile_expr(expr, scope)
+        return code if _is_simple(expr, scope) else self._ensure_atom(code)
 
     # -- expressions --------------------------------------------------------
 
@@ -692,18 +717,15 @@ class PyCodegen:
                 return self.dialect.emit_length(
                     self.compile_expr(expr.arg, scope)
                 )
-            if name == "array":
-                arg = self._ensure_atom(self.compile_expr(expr.arg, scope))
-                return self.dialect.emit_make(f"{arg}[0]", f"{arg}[1]")
-            if name == "tabulate":
+            if name in ("array", "tabulate"):
+                make = (self.dialect.emit_make if name == "array"
+                        else self.dialect.emit_tabulate)
                 if isinstance(expr.arg, ast.ETuple) and len(expr.arg.items) == 2:
-                    n = self.compile_expr(expr.arg.items[0], scope)
-                    f = self.compile_expr(expr.arg.items[1], scope)
-                    return self.dialect.emit_tabulate(n, f)
+                    size, init = (self.compile_expr(e, scope)
+                                  for e in expr.arg.items)
+                    return make(size, init)
                 packed = self._ensure_atom(self.compile_expr(expr.arg, scope))
-                return self.dialect.emit_tabulate(
-                    f"{packed}[0]", f"{packed}[1]"
-                )
+                return make(f"{packed}[0]", f"{packed}[1]")
             if name == "compare":
                 return f"_compare(*{self.compile_expr(expr.arg, scope)})"
             if name == "print_int":
@@ -729,44 +751,80 @@ class PyCodegen:
         pair = self._ensure_atom(self.compile_expr(arg, scope))
         return f"({pair}[0] {py_op} {pair}[1])"
 
+    def _is_kept(self, name: str, expr: ast.EApp) -> bool:
+        """Does this access keep its run-time check?"""
+        site = getattr(expr, "site_id", None)
+        return name in ALWAYS_CHECKED or site is None or site not in self.unchecked
+
     def _compile_access(self, name: str, expr: ast.EApp, scope: dict[str, str]) -> str:
         """sub/update/nth/hd/tl and their *CK variants."""
-        site = getattr(expr, "site_id", None)
-        checked = name in ALWAYS_CHECKED or site is None or site not in self.unchecked
+        base = name[:-2] if name.endswith("CK") else name
+        kept = self._is_kept(name, expr)
         arg = expr.arg
-        parts: list[str]
+        #: (code, simple) per operand; see :func:`_is_simple`.
+        operands: list[tuple[str, bool]]
         if isinstance(arg, ast.ETuple):
-            parts = [self.compile_expr(e, scope) for e in arg.items]
+            operands = [(self.compile_expr(e, scope), _is_simple(e, scope))
+                        for e in arg.items]
         else:
             packed = self._ensure_atom(self.compile_expr(arg, scope))
-            base = name[:-2] if name.endswith("CK") else name
             arity = {"sub": 2, "update": 3, "nth": 2, "hd": 1, "tl": 1}[base]
-            parts = [f"{packed}[{i}]" for i in range(arity)] if arity > 1 else [packed]
-        base = name[:-2] if name.endswith("CK") else name
-        wrap = ""
+            # A literal ``nil`` is not simple: ``None[0]`` is a
+            # compile-time warning, so it binds a temporary.
+            operands = ([(f"{packed}[{k}]", True) for k in range(arity)]
+                        if arity > 1 else [(packed, packed != "None")])
+        if kept:
+            body = self._kept_access(base, operands)
+        else:
+            body = self._unchecked_access(base, [code for code, _ in operands])
         if self.instrument:
-            wrap = "_cp" if checked else "_ce"
+            return f"{'_cp' if kept else '_ce'}({body})"
+        return body
+
+    def _unchecked_access(self, base: str, parts: list[str]) -> str:
         if base == "sub":
-            a, i = parts
-            body = self.dialect.emit_read(a, i, checked)
-            return f"{wrap}({body})" if wrap else body
+            return self.dialect.emit_read(*parts)
         if base == "update":
-            a, i, v = parts
-            body = self.dialect.emit_write(a, i, v, checked)
-            return f"{wrap}({body})" if wrap else body
+            return self.dialect.emit_write(*parts)
         if base == "nth":
-            lst, n = parts
-            body = f"{'_nth_checked' if checked else '_nth_unchecked'}({lst}, {n})"
-            return f"{wrap}({body})" if wrap else body
-        if base == "hd":
-            (lst,) = parts
-            body = f"_hdc({lst})" if checked else f"{self._parens(lst)}[0]"
-            return f"{wrap}({body})" if wrap else body
-        if base == "tl":
-            (lst,) = parts
-            body = f"_tlc({lst})" if checked else f"{self._parens(lst)}[1]"
-            return f"{wrap}({body})" if wrap else body
-        raise AssertionError(name)
+            return f"_nth_unchecked({parts[0]}, {parts[1]})"
+        return f"{self._parens(parts[0])}[{0 if base == 'hd' else 1}]"
+
+    def _kept_access(self, base: str, operands: list[tuple[str, bool]]) -> str:
+        """A kept check as an expression: the unchecked access behind an
+        inline test, ``(a[i] if len(a) > i >= 0 else _oob(a, i))`` for a
+        read.  Simple operands are repeated in the test.  A read's other
+        operand binds a temporary (``:=``) where the test first evaluates
+        it; a write's keeps the ``_updc`` helper, since its value must be
+        evaluated before the test.  ``nth`` walks the list in a helper."""
+        codes = [code for code, _ in operands]
+        if base == "nth":
+            return f"_nth_checked({codes[0]}, {codes[1]})"
+        if base == "update":
+            if not all(simple for _, simple in operands):
+                return f"_updc({', '.join(codes)})"
+            a, i, v = codes
+            return (f"({self.dialect.emit_write(a, i, v)} "
+                    f"if {self.dialect.emit_in_bounds(a, i)} "
+                    f"else _oob({a}, {i}))")
+        binds, names = [], []
+        for code, simple in operands:
+            if simple:
+                binds.append(code)
+                names.append(code)
+            else:
+                temp = f"_t{next(self._temp)}"
+                binds.append(f"({temp} := {code})")
+                names.append(temp)
+        if base == "sub":
+            (a, i), (a_bind, i_bind) = names, binds
+            return (f"({self.dialect.emit_guarded_read(a, i)} "
+                    f"if {self.dialect.emit_in_bounds(a_bind, i_bind)} "
+                    f"else _oob({a}, {i}))")
+        (lst,), (lst_bind,) = names, binds
+        field = 0 if base == "hd" else 1
+        return (f"({self._parens(lst)}[{field}] if {lst_bind} is not None "
+                f'else _empty("{base}"))')
 
     def _compile_con_app(self, con: str, arg: ast.Expr, scope: dict[str, str]) -> str:
         if con == "::" and isinstance(arg, ast.ETuple) and len(arg.items) == 2:
@@ -942,9 +1000,9 @@ _BUILTIN_VALUE_DEFS = {
     "not": f"{_builtin_value_name('not')} = lambda _x: not _x",
     "compare": f"{_builtin_value_name('compare')} = lambda _p: _compare(_p[0], _p[1])",
     "length": f"{_builtin_value_name('length')} = lambda _a: len(_a)",
-    "array": f"{_builtin_value_name('array')} = lambda _p: [_p[1]] * _p[0]",
+    "array": f"{_builtin_value_name('array')} = lambda _p: _mk_list(_p[0], _p[1])",
     "tabulate": f"{_builtin_value_name('tabulate')} = "
-                "lambda _p: [_p[1](_i) for _i in range(_p[0])]",
+                "lambda _p: _tab_list(_p[0], _p[1])",
     "sub": f"{_builtin_value_name('sub')} = lambda _p: _subc(_p[0], _p[1])",
     "update": f"{_builtin_value_name('update')} = lambda _p: _updc(_p[0], _p[1], _p[2])",
     "subCK": f"{_builtin_value_name('subCK')} = lambda _p: _subc(_p[0], _p[1])",
@@ -959,6 +1017,30 @@ _BUILTIN_VALUE_DEFS = {
     "print_bool": f"{_builtin_value_name('print_bool')} = "
                   f"lambda _x: print('true' if _x else 'false')",
 }
+
+
+def _is_simple(expr: ast.Expr, scope: dict[str, str]) -> bool:
+    """Is ``expr`` a name, a literal or integer arithmetic over them?
+    Its code cannot raise or have an effect, so a kept check may
+    evaluate it again, or before an earlier operand."""
+    while isinstance(expr, ast.EAnnot):
+        expr = expr.expr
+    if isinstance(expr, (ast.EVar, ast.EInt, ast.EBool)):
+        return True
+    if not (isinstance(expr, ast.EApp) and isinstance(expr.fn, ast.EVar)
+            and expr.fn.name not in scope):
+        return False
+    op, arg = expr.fn.name, expr.arg
+    if op == "~":
+        return _is_simple(arg, scope)
+    if not (isinstance(arg, ast.ETuple) and len(arg.items) == 2):
+        return False
+    left, right = arg.items
+    if op in ("div", "mod"):  # only a non-zero literal divisor cannot raise
+        return (isinstance(right, ast.EInt) and right.value != 0
+                and _is_simple(left, scope))
+    return op in ("+", "-", "*") and all(
+        _is_simple(e, scope) for e in arg.items)
 
 
 def _emits_statements(expr: ast.Expr) -> bool:

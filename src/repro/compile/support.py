@@ -11,33 +11,39 @@ uniformity with the interpreter):
 * other datatype values — the tag string for nullary constructors, a
   ``(tag, arg)`` pair otherwise.
 
-The generated module imports its helpers from here.  Every dialect
-emits a kept array check as a call to a checked helper (``_subc`` for
-reads, ``_updc`` or the dialect's variant for writes).  In ``plain`` an
-eliminated read is a bare ``a[i]``, and an eliminated write is a bare
-``a[i] = v`` where its unit is discarded (a non-final ``;`` item or a
-tail write) and a call of the unchecked ``_upd`` elsewhere.  The
-measured difference between checked and unchecked code is therefore
-the check *plus* the helper call a kept access pays, not the
-comparison alone.
+The generated module imports its helpers from here.  A kept array
+check is inline code, in every dialect: a read is
+``(a[i] if len(a) > i >= 0 else _oob(a, i))`` and a write whose unit
+is discarded is ``if not len(a) > i >= 0: _oob(a, i)`` followed by the
+dialect's store, so a kept access costs the comparison alone and an
+eliminated one drops it.  The checked helpers ``_subc``/``_updc``/
+``_hdc``/``_tlc`` remain for first-class ``sub``/``update``/``hd``/
+``tl`` values and for a write in expression position whose operands
+are not names, literals or integer arithmetic.  The failure paths
+(``_oob``, ``_empty``, ``_nth_checked``) raise the interpreter's
+exceptions with the interpreter's messages.
 """
 
 from __future__ import annotations
 
 from repro.lang.errors import (
-    BoundsError,
     MatchFailure,
     RaisedException,
-    TagError,
+    empty_error,
+    nth_error,
+    size_error,
+    subscript_error,
 )
 
 
-def _oob(i: int):  # pragma: no cover - exercised via generated code
-    raise BoundsError(f"Subscript: index {i} out of bounds")
+def _oob(a, i: int):
+    """The failure branch of a kept bound check."""
+    raise subscript_error(i, a)
 
 
-def _tag_err(what: str):  # pragma: no cover
-    raise TagError(f"Empty: {what}")
+def _empty(op: str):
+    """The failure branch of a kept ``hd``/``tl`` check."""
+    raise empty_error(op)
 
 
 def _match_fail(name: str):  # pragma: no cover
@@ -53,13 +59,13 @@ def _subc(a, i):
     """Checked array read (SML's safe ``sub``)."""
     if 0 <= i < len(a):
         return a[i]
-    _oob(i)
+    _oob(a, i)
 
 
 def _updc(a, i, v):
     """Checked array write."""
     if not 0 <= i < len(a):
-        _oob(i)
+        _oob(a, i)
     a[i] = v
     return ()
 
@@ -73,31 +79,30 @@ def _upd(a, i, v):
 
 def _hdc(lst):
     if lst is None:
-        _tag_err("hd of nil")
+        _empty("hd")
     return lst[0]
 
 
 def _tlc(lst):
     if lst is None:
-        _tag_err("tl of nil")
+        _empty("tl")
     return lst[1]
 
 
 def _nth_checked(lst, n):
     if n < 0:
-        # The interpreter's recursive nth recurses past nil on a
-        # negative index; returning the head here would silently
-        # diverge from that semantics.
-        _tag_err(f"nth({n})")
+        # Returning the head here would silently diverge from the
+        # interpreter, which rejects a negative index.
+        raise nth_error(n)
     cell = lst
     i = n
     while i > 0:
         if cell is None:
-            _tag_err(f"nth({n})")
+            raise nth_error(n)
         cell = cell[1]
         i -= 1
     if cell is None:
-        _tag_err(f"nth({n})")
+        raise nth_error(n)
     return cell[0]
 
 
@@ -106,6 +111,23 @@ def _nth_unchecked(lst, n):
     for _ in range(n):
         cell = cell[1]
     return cell[0]
+
+
+def _size(n: int) -> int:
+    """An ``array``/``tabulate`` size, rejected when negative."""
+    if n < 0:
+        raise size_error()
+    return n
+
+
+def _mk_list(n: int, v):
+    """``array(n, v)`` as a Python list."""
+    return [v] * _size(n)
+
+
+def _tab_list(n: int, f):
+    """``tabulate(n, f)`` as a Python list."""
+    return [f(i) for i in range(_size(n))]
 
 
 def _compare(a, b):

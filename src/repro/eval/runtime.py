@@ -26,7 +26,13 @@ from typing import Any
 
 from repro.eval import values as rv
 from repro.eval.values import ConV, BuiltinV
-from repro.lang.errors import BoundsError, EvalError, TagError
+from repro.lang.errors import (
+    EvalError,
+    empty_error,
+    nth_error,
+    size_error,
+    subscript_error,
+)
 from repro.records import record
 
 
@@ -171,7 +177,7 @@ def _length(arg, stats):
 def _array(arg, stats):
     n, init = arg
     if n < 0:
-        raise EvalError("Size: negative array size")
+        raise size_error()
     stats.allocations += 1
     return [init] * n
 
@@ -181,8 +187,7 @@ def _sub(arg, stats, checked):
     if checked:
         stats.bound_checks_performed += 1
         if not 0 <= i < len(arr):
-            raise BoundsError(f"Subscript: index {i} out of bounds for array "
-                              f"of size {len(arr)}")
+            raise subscript_error(i, arr)
     else:
         stats.bound_checks_eliminated += 1
     return arr[i]
@@ -193,8 +198,7 @@ def _update(arg, stats, checked):
     if checked:
         stats.bound_checks_performed += 1
         if not 0 <= i < len(arr):
-            raise BoundsError(f"Subscript: index {i} out of bounds for array "
-                              f"of size {len(arr)}")
+            raise subscript_error(i, arr)
     else:
         stats.bound_checks_eliminated += 1
     arr[i] = value
@@ -205,8 +209,7 @@ def _sub_ck(arg, stats):
     arr, i = arg
     stats.bound_checks_performed += 1
     if not 0 <= i < len(arr):
-        raise BoundsError(f"Subscript: index {i} out of bounds for array "
-                          f"of size {len(arr)}")
+        raise subscript_error(i, arr)
     return arr[i]
 
 
@@ -214,8 +217,7 @@ def _update_ck(arg, stats):
     arr, i, value = arg
     stats.bound_checks_performed += 1
     if not 0 <= i < len(arr):
-        raise BoundsError(f"Subscript: index {i} out of bounds for array "
-                          f"of size {len(arr)}")
+        raise subscript_error(i, arr)
     arr[i] = value
     return rv.UNIT
 
@@ -230,16 +232,16 @@ def _nth(arg, stats, checked):
         if n < 0:
             # Without this test a negative index fell through the
             # `while i > 0` walk and silently returned the head.
-            raise TagError(f"Subscript: nth({n}) negative index")
+            raise nth_error(n)
         i = n
         cell = lst
         while i > 0:
             if cell.con != "::":
-                raise TagError(f"Subscript: nth({n}) beyond end of list")
+                raise nth_error(n)
             cell = cell.arg[1]
             i -= 1
         if cell.con != "::":
-            raise TagError(f"Subscript: nth({n}) beyond end of list")
+            raise nth_error(n)
         return cell.arg[0]
     stats.tag_checks_eliminated += 1
     cell = lst
@@ -252,7 +254,7 @@ def _hd(arg, stats, checked):
     if checked:
         stats.tag_checks_performed += 1
         if arg.con != "::":
-            raise TagError("Empty: hd of nil")
+            raise empty_error("hd")
     else:
         stats.tag_checks_eliminated += 1
     return arg.arg[0]
@@ -262,7 +264,7 @@ def _tl(arg, stats, checked):
     if checked:
         stats.tag_checks_performed += 1
         if arg.con != "::":
-            raise TagError("Empty: tl of nil")
+            raise empty_error("tl")
     else:
         stats.tag_checks_eliminated += 1
     return arg.arg[1]
@@ -286,7 +288,7 @@ def _tl_ck(arg, stats):
 def _tabulate(arg, stats, apply):
     n, fn = arg
     if n < 0:
-        raise EvalError("Size: negative array size")
+        raise size_error()
     stats.allocations += 1
     return [apply(fn, i) for i in range(n)]
 

@@ -10,23 +10,27 @@ lines.  They are never registered in the dialect registry — only
 
 * ``overflow-update`` — the packed dialect with repack-on-overflow
   removed: an ``update`` whose value leaves int64 raises
-  ``OverflowError`` instead of demoting the buffer (the pre-fix
-  behaviour this PR repairs);
-* ``oob-read`` — the packed dialect with every *unchecked* read
+  ``OverflowError`` instead of demoting the buffer;
+* ``oob-read`` — the packed dialect with every *eliminated* read
   shifted by one: a certificate-gated build returns wrong values (or
   raises ``IndexError`` at the boundary) exactly where the solver
   eliminated a check, the worst-case miscompile the certificate is
-  supposed to prevent.
+  supposed to prevent.  Kept reads stay healthy;
+* ``kept-check`` — the plain dialect with the lower bound (``>= 0``)
+  dropped from the inline bound test of every kept check, so a
+  negative index wraps silently where it should raise ``BoundsError``.
 
-Both override :meth:`prelude` to shadow the healthy runtime helpers
-with local buggy definitions inside the generated module — the real
-helpers in :mod:`repro.compile.dialects.packed` stay intact.
+``overflow-update`` overrides :meth:`prelude` to shadow the healthy
+runtime helper with a local buggy definition inside the generated
+module — the real helpers in :mod:`repro.compile.dialects.packed` stay
+intact.  The other two override the emission hooks they break.
 """
 
 from __future__ import annotations
 
 from repro.compile.dialects.base import parens
 from repro.compile.dialects.packed import PackedDialect
+from repro.compile.dialects.plain import PlainDialect
 
 
 class OverflowUpdateFault(PackedDialect):
@@ -41,29 +45,36 @@ class OverflowUpdateFault(PackedDialect):
             "def _upd_pk(a, i, v):\n"
             "    a.buf[i] = v\n"
             "    return ()\n"
-            "def _updc_pk(a, i, v):\n"
-            "    if not 0 <= i < len(a.buf):\n"
-            "        _oob(i)\n"
-            "    a.buf[i] = v\n"
-            "    return ()\n"
         )
 
 
 class OobReadFault(PackedDialect):
-    """Unchecked packed reads displaced by one element."""
+    """Eliminated packed reads displaced by one element."""
 
     name = "packed@oob-read"
     description = "packed with off-by-one unchecked reads (self-test fault)"
 
-    def emit_read(self, array: str, index: str, checked: bool) -> str:
-        if checked:
-            return f"_subc({array}, {index})"
+    def emit_read(self, array: str, index: str) -> str:
         return f"{parens(array)}.buf[({index}) + 1]"
+
+    #: A kept check still reads the element it tested.
+    emit_guarded_read = PackedDialect.emit_read
+
+
+class KeptCheckFault(PlainDialect):
+    """Plain kept checks that let a negative index through."""
+
+    name = "plain@kept-check"
+    description = "plain whose kept checks miss negative indices (self-test fault)"
+
+    def emit_in_bounds(self, array: str, index: str) -> str:
+        return f"{self.emit_length(array)} > {index}"
 
 
 FAULTS = {
     "overflow-update": OverflowUpdateFault,
     "oob-read": OobReadFault,
+    "kept-check": KeptCheckFault,
 }
 
 

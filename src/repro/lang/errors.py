@@ -92,6 +92,34 @@ class MatchFailure(EvalError):
     """No pattern-match clause applied (SML's ``Match``)."""
 
 
+# Run-time faults of the array and list primitives.  The interpreter
+# and compiled code both raise these, so a fault reads the same in
+# ``repro run`` and ``repro compile-and-run``; callers build one only on
+# the failure path.
+
+
+def subscript_error(index: int, array) -> BoundsError:
+    """``index`` is not a valid subscript of ``array``."""
+    return BoundsError(f"Subscript: index {index} out of bounds for array "
+                       f"of size {len(array)}")
+
+
+def nth_error(n: int) -> TagError:
+    """``nth(l, n)`` found no element ``n``."""
+    reason = "negative index" if n < 0 else "beyond end of list"
+    return TagError(f"Subscript: nth({n}) {reason}")
+
+
+def empty_error(op: str) -> TagError:
+    """``op`` (``hd`` or ``tl``) applied to ``nil``."""
+    return TagError(f"Empty: {op} of nil")
+
+
+def size_error() -> EvalError:
+    """``array``/``tabulate`` asked for a negative size."""
+    return EvalError("Size: negative array size")
+
+
 class RaisedException(Exception):
     """A DML ``raise`` in flight, carrying the exception value.
 

@@ -191,17 +191,19 @@ class TestCheckCompilation:
             "fun f(a) = sub(a, 0) where f <| {n:nat | n > 0} 'a array(n) -> 'a",
             eliminate=True,
         )
-        assert "_subc(" not in mod.source  # only the prelude import
+        assert "_oob(" not in mod.source
         assert mod.call("f", [42]) == 42
 
-    def test_checked_sub_uses_helper(self):
+    def test_checked_sub_is_an_inline_bound_test(self):
         _, mod = build(
-            "fun f(a) = sub(a, 0) where f <| {n:nat | n > 0} 'a array(n) -> 'a",
+            "fun f(a, i) = sub(a, i) "
+            "where f <| {n:nat} {i:nat | i < n} 'a array(n) * int(i) -> 'a",
             eliminate=False,
         )
-        assert "_subc" in mod.source
-        with pytest.raises(BoundsError):
-            mod.call("f", [])
+        assert mod.call("f", ([7, 8], 1)) == 8
+        for index in (2, -1):
+            with pytest.raises(BoundsError):
+                mod.call("f", ([7, 8], index))
 
     def test_checked_list_ops(self):
         _, mod = build("fun f(l) = (hdCK(l), tlCK(l))")

@@ -89,6 +89,20 @@ class TestFaults:
         bad = {m.engine for m in result.mismatches}
         assert bad == {f"{fault.name}-unchecked"}
 
+    def test_kept_check_fault_detected(self):
+        source = (
+            "fun get(a, i) = sub(a, i)\n\n"
+            "fun main(u) = get(array(2, 5), u - 1)\n"
+            "where main <| int -> int\n"
+        )
+        fault = get_fault("kept-check")
+        result = run_differential(source, dialects=[(fault.name, fault)])
+        assert result.outcomes["interp-checked"].error == "BoundsError"
+        # The site is unprovable, so both builds keep the broken check
+        # and read a[-1] instead of raising.
+        bad = {m.engine for m in result.mismatches}
+        assert bad == {f"{fault.name}-checked", f"{fault.name}-unchecked"}
+
 
 class TestResolveDialects:
     def test_default_is_every_available(self):

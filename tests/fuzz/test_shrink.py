@@ -55,3 +55,12 @@ class TestAcceptanceBar:
         assert report.findings, "fault not detected in 40 iterations"
         for finding in report.findings:
             assert finding.final_lines < 20, finding.render()
+
+    def test_kept_check_fault_shrinks_below_twenty_lines(self):
+        # A kept check that lets a negative index through.
+        fault = get_fault("kept-check")
+        report = fuzz(seed=0, iterations=60,
+                      dialects=[(fault.name, fault)])
+        assert report.findings, "fault not detected in 60 iterations"
+        for finding in report.findings:
+            assert finding.final_lines < 20, finding.render()
