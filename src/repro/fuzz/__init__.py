@@ -8,7 +8,8 @@ The subpackage splits along the classic fuzzing pipeline:
 * :mod:`repro.fuzz.oracle` — the differential oracle: one program, every
   engine (interpreter with/without elimination, checked and
   certificate-gated unchecked compiled builds, per dialect), outcomes
-  compared as values-or-exception-class via ``extract_value``;
+  compared as value or exception (class and message) plus the lines
+  each engine printed;
 * :mod:`repro.fuzz.shrink` — a greedy delta-debugging shrinker over the
   generator's spec (never over raw text, so every shrink candidate is
   well-typed by construction too);

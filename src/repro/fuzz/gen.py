@@ -28,9 +28,17 @@ regression (the oracle distinguishes the two).
 
 Out-of-int64-range literals are generated with configurable bias so the
 packed/numpy dialects' repack-on-overflow and read-unboxing paths stay
-under differential test; division and modulus only ever take nonzero
-literal divisors (the interpreter and the compiled build raise
-different exception types on division by zero, a deliberate non-goal).
+under differential test.
+
+Effects ride along too (``eff`` ops): a printing helper ``pr`` is an
+operand of a binary operator, a tuple, a curried call, a read or a
+write, followed by a later operand that is a ``let``, ``case``, ``;``,
+``handle`` or another print, so the oracle's comparison of printed
+lines checks that every engine evaluates operands left to right.  A
+division or modulus may take a zero divisor (a literal ``0`` or the
+accumulator), so every engine must raise the interpreter's error.
+These ops are drawn after all others, leaving a seed's other shapes as
+they were.
 
 Determinism: the same :class:`random.Random` stream and config produce
 the identical spec, and :func:`render` is a pure function of the spec —
@@ -40,6 +48,7 @@ the identical spec, and :func:`render` is a pure function of the spec —
 from __future__ import annotations
 
 import random
+import re
 from typing import Callable
 
 from repro.records import record
@@ -103,10 +112,12 @@ class Op:
 
     ``kind``: ``call`` (apply helper ``helper`` to target ``target``),
     ``sub``/``update``/``nth``/``hd`` (direct builtin access with a
-    literal index), ``len`` (length read), or ``arith`` (accumulator
-    arithmetic; the operator and literal travel in ``value``).
-    ``value`` is ``("lit", n)`` or ``("acc",)`` for writes, and
-    ``(op, n)`` for ``arith``.
+    literal index), ``len`` (length read), ``arith`` (accumulator
+    arithmetic; the operator and literal travel in ``value``) or
+    ``eff`` (effectful operands, see :data:`EFFECT_FORMS`).
+    ``value`` is ``("lit", n)`` or ``("acc",)`` for writes, ``(op, n)``
+    for ``arith``, where a divisor ``n`` may be ``"acc"``, and
+    ``(form, later, k)`` for ``eff``.
     """
 
     kind: str
@@ -305,6 +316,41 @@ TEMPLATES: dict[str, Template] = {
 _ARRAY_TEMPLATES = [k for k, t in TEMPLATES.items() if t.kind == "array"]
 _LIST_TEMPLATES = [k for k, t in TEMPLATES.items() if t.kind == "list"]
 
+#: The declarations ``eff`` ops use, each rendered in front of ``main``
+#: when an op's form or later operand names it.  ``pr`` prints its
+#: argument and returns it, index and all, so a printed index still
+#: proves its site.
+EFFECT_HELPERS = {
+    "Fuzz": ["exception Fuzz"],
+    "pr": ["fun pr(x) = (print_int x; x)",
+           "where pr <| {n:int} int(n) -> int(n)"],
+    "pick": ["fun pick(x, y) = x - y", "where pick <| int * int -> int"],
+    "cur": ["fun cur x y = x + y", "where cur <| int -> int -> int"],
+}
+
+#: ``eff`` forms, by the line they render: ``s`` is the accumulator,
+#: ``L`` the later operand, ``a`` and ``i`` the op's array and literal
+#: index.  ``sub`` and ``update`` are access sites, eliminable iff ``i``
+#: is in bounds.
+EFFECT_FORMS = {
+    "binop": "val {s1} = pr {s} + ({L})",
+    "tuple": "val {s1} = pick(pr {s}, ({L}))",
+    "curried": "val {s1} = cur (pr {s}) ({L})",
+    "sub": "val {s1} = pr {s} + sub({a}, pr {i}) + ({L})",
+    "update": "val () = update({a}, pr {i}, ({L}))",
+}
+
+#: Later operands, each printing and evaluating to ``k``; all but
+#: ``print`` need statements in compiled code.
+EFFECT_LATER = {
+    "print": "pr {k}",
+    "let": "let val t = pr {k} in t end",
+    "case": "case pr {k} of 0 => 0 | t => t",
+    "seq": "print_int {k}; {k}",
+    "handle": "pr {k} handle Fuzz => 0",
+}
+
+
 #: int64-boundary literals: the fitting edge cases and the overflowing
 #: ones that force the packed/numpy repack paths.
 BIG_LITERALS = (
@@ -366,6 +412,10 @@ def generate(rng: random.Random, config: GenConfig = GenConfig()) -> ProgramSpec
     ops: list[Op] = []
     for _ in range(config.depth):
         ops.append(_gen_op(rng, config, arrays, lists, helpers))
+    # Drawn last, so that the ops above are what they were before
+    # effects joined the grammar.
+    for _ in range(rng.randrange(1 + config.depth // 4)):
+        ops.insert(rng.randrange(len(ops) + 1), _gen_effect(rng, arrays))
 
     return ProgramSpec(
         arrays=tuple(arrays), lists=tuple(lists),
@@ -422,6 +472,17 @@ def _gen_arith(rng: random.Random, config: GenConfig) -> Op:
     else:
         lit = _literal(rng, config.big_bias)
     return Op("arith", value=(kind, lit))
+
+
+def _gen_effect(rng: random.Random, arrays: list[ArrayDecl]) -> Op:
+    """An ``eff`` op, or a division whose divisor may be zero."""
+    if rng.random() < 0.25:
+        return Op("arith", value=(rng.choice(["div", "mod"]),
+                                  rng.choice([0, "acc"])))
+    ai = rng.randrange(len(arrays))
+    return Op("eff", target=ai, idx=rng.randrange(arrays[ai].size + 2),
+              value=(rng.choice(list(EFFECT_FORMS)),
+                     rng.choice(list(EFFECT_LATER)), rng.randrange(10)))
 
 
 def _gen_call(
@@ -489,6 +550,11 @@ def render(spec: ProgramSpec) -> Rendered:
         lines.extend(body)
         lines.append("")
 
+    effects = " ".join(EFFECT_FORMS[op.value[0]] + EFFECT_LATER[op.value[1]]
+                       for op in spec.ops if op.kind == "eff")
+    for name, decl in EFFECT_HELPERS.items():
+        if re.search(rf"\b{name}\b", effects):
+            lines.extend(decl + [""])
     lines.append("fun main(u) = let")
     for ai, a in enumerate(spec.arrays):
         if a.tab:
@@ -554,8 +620,20 @@ def render(spec: ProgramSpec) -> Rendered:
             acc += 1
         elif op.kind == "arith":
             kind, lit = op.value
-            lines.append(f"  val s{acc + 1} = s{acc} {kind} {_int(lit)}")
+            rhs = f"s{acc}" if lit == "acc" else _int(lit)
+            lines.append(f"  val s{acc + 1} = s{acc} {kind} {rhs}")
             acc += 1
+        elif op.kind == "eff":
+            form, later, k = op.value
+            lines.append("  " + EFFECT_FORMS[form].format(
+                s1=f"s{acc + 1}", s=f"s{acc}", a=f"a{op.target}",
+                i=op.idx, L=EFFECT_LATER[later].format(k=k)))
+            if form in ("sub", "update"):
+                size = spec.arrays[op.target].size
+                truths.append(SiteTruth(line_no, form, op.idx < size,
+                                        "effect"))
+            if form != "update":
+                acc += 1
         else:  # pragma: no cover - spec invariant
             raise ValueError(f"unknown op kind {op.kind!r}")
 

@@ -11,12 +11,14 @@ An *engine* is one way to execute a DML program end to end:
   certificate-gated elimination plan applied,
 
 for every requested dialect (default: every *available* dialect).  An
-engine's :class:`Outcome` is either the extracted native value
-(``Dialect.extract_value`` / cons-chain flattening for the
-interpreter, so representation differences can never masquerade as
-behaviour) or the raised exception's class name —
-``BoundsError``/``TagError``/``OverflowError`` are part of compared
-behaviour, exactly as the issue demands.
+engine's :class:`Outcome` is the value it returned or the exception it
+raised (class name and message), together with the lines it printed —
+each engine's stdout is captured on its own.  A compiled value is
+extracted by ``Dialect.extract_value``, and an interpreter value is put
+in compiled code's representation (:func:`_compiled_form`), so
+representation differences can never masquerade as behaviour, while
+``BoundsError``/``TagError``/``OverflowError``, their messages and the
+order of printed output are all compared behaviour.
 
 Mismatch kinds, most severe first:
 
@@ -40,6 +42,8 @@ n = 2" is the difference between a repro and a riddle.
 
 from __future__ import annotations
 
+import contextlib
+import io
 from dataclasses import field
 from typing import Any, Iterable, Sequence
 
@@ -47,7 +51,7 @@ from repro import api
 from repro.compile.dialects import available_dialects, get_dialect
 from repro.compile.dialects.base import Dialect
 from repro.eval.interp import Interpreter
-from repro.eval.values import ConV, to_pylist
+from repro.eval.values import ConV
 from repro.fuzz.gen import SiteTruth
 from repro.lang.errors import DMLError
 from repro.records import record
@@ -59,17 +63,21 @@ KINDS = ("pipeline-error", "soundness", "behaviour", "structural",
 
 @record(frozen=True)
 class Outcome:
-    """What one engine produced: a native value or an exception class."""
+    """What one engine produced: a native value or an exception (class
+    and message), and the lines it printed on the way."""
 
     kind: str  # "value" | "error"
     value: Any = None
     error: str = ""
+    message: str = ""
+    printed: tuple[str, ...] = ()
 
     def render(self) -> str:
-        if self.kind == "error":
-            return f"raises {self.error}"
-        text = repr(self.value)
-        return text if len(text) <= 60 else text[:57] + "..."
+        text = (f"raises {self.error}: {self.message}" if self.kind == "error"
+                else repr(self.value))
+        if self.printed:
+            text += f" after printing {' '.join(self.printed)}"
+        return text if len(text) <= 100 else text[:97] + "..."
 
 
 @record(frozen=True)
@@ -120,24 +128,35 @@ class DiffResult:
         return "\n".join(lines)
 
 
-def _interp_native(value: Any) -> Any:
-    """Flatten interpreter values to plain Python (lists stay lists)."""
+def _compiled_form(value: Any) -> Any:
+    """An interpreter value in compiled code's representation: ``nil``
+    is ``None``, ``::`` a ``(head, tail)`` pair, another nullary
+    constructor its tag string and a unary one a ``(tag, arg)`` pair."""
     if isinstance(value, ConV):
-        return [_interp_native(x) for x in to_pylist(value)]
+        if value.con == "nil":
+            return None
+        if value.con == "::":
+            return tuple(_compiled_form(x) for x in value.arg)
+        if value.arg is None:
+            return value.con
+        return (value.con, _compiled_form(value.arg))
     if isinstance(value, list):
-        return [_interp_native(x) for x in value]
+        return [_compiled_form(x) for x in value]
     if isinstance(value, tuple):
-        return tuple(_interp_native(x) for x in value)
+        return tuple(_compiled_form(x) for x in value)
     return value
 
 
 def _capture(thunk) -> Outcome:
+    out = io.StringIO()
     try:
-        return Outcome("value", value=thunk())
-    except DMLError as exc:
-        return Outcome("error", error=type(exc).__name__)
+        with contextlib.redirect_stdout(out):
+            value = thunk()
     except Exception as exc:  # noqa: BLE001 - engine divergence IS the signal
-        return Outcome("error", error=type(exc).__name__)
+        return Outcome("error", error=type(exc).__name__, message=str(exc),
+                       printed=tuple(out.getvalue().splitlines()))
+    return Outcome("value", value=value,
+                   printed=tuple(out.getvalue().splitlines()))
 
 
 def resolve_dialects(
@@ -237,13 +256,13 @@ def run_differential(
 
     elim = report.eliminable_sites()
     result.outcomes["interp-checked"] = _capture(
-        lambda: _interp_native(
+        lambda: _compiled_form(
             Interpreter(report.program, set(), env=report.env)
             .call(entry, *args)
         )
     )
     result.outcomes["interp"] = _capture(
-        lambda: _interp_native(
+        lambda: _compiled_form(
             Interpreter(report.program, elim, env=report.env)
             .call(entry, *args)
         )

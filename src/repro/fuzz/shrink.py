@@ -20,7 +20,8 @@ Passes, cheapest-win first:
 2. drop now-unreferenced arrays and lists (indices remapped);
 3. simplify literals: indices toward 0, values toward 0/1, array sizes
    toward 1, tabulate builds to plain ``array`` builds, list payloads
-   to ``(1,)``.
+   to ``(1,)``; an ``eff`` op's form toward ``binop``, its later
+   operand toward a plain print and its printed literal toward 0.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from repro.fuzz.gen import TEMPLATES, ArrayDecl, Op, ProgramSpec
 
 def _array_refs(spec: ProgramSpec, op: Op) -> int | None:
     """The array index ``op`` references, if any."""
-    if op.kind in ("sub", "update", "len"):
+    if op.kind in ("sub", "update", "len") or (
+            op.kind == "eff" and op.value[0] in ("sub", "update")):
         return op.target
     if op.kind == "call":
         t = TEMPLATES[spec.helpers[op.helper].template]
@@ -92,7 +94,13 @@ def _literal_candidates(spec: ProgramSpec) -> Iterator[ProgramSpec]:
             # callee's guard renders to a structurally failing program
             # and the predicate rejects it.
             yield with_op(replace(op, idx=0))
-        if op.value[0] == "acc":
+        if op.kind == "eff":
+            form, later, k = op.value
+            for simpler in (("binop", later, k), (form, "print", k),
+                            (form, later, 0)):
+                if simpler != op.value:
+                    yield with_op(replace(op, value=simpler))
+        elif op.value[0] == "acc":
             yield with_op(replace(op, value=("lit", 1)))
         elif op.kind != "arith" and op.value != ("lit", 0):
             yield with_op(replace(op, value=("lit", 0)))

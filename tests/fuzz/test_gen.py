@@ -1,10 +1,19 @@
 """Generator invariants: determinism, well-typedness, and the
 by-construction ground truth agreeing with the solver."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import api
-from repro.fuzz.gen import GenConfig, generate, render
+from repro.fuzz.gen import (
+    EFFECT_FORMS,
+    EFFECT_LATER,
+    GenConfig,
+    Op,
+    generate,
+    render,
+)
 from repro.fuzz.runner import iteration_rng
 from repro.solver.portfolio import SolverCache
 
@@ -73,3 +82,22 @@ class TestRendering:
             rendered = _rendered(seed)
             lines = [t.line for t in rendered.truths]
             assert len(lines) == len(set(lines)), rendered.source
+
+
+class TestEffects:
+    def test_every_effect_shape_is_drawn(self):
+        ops = [op for seed in range(40)
+               for op in generate(iteration_rng(seed, 0), GenConfig()).ops]
+        effects = [op.value for op in ops if op.kind == "eff"]
+        assert {form for form, _, _ in effects} == set(EFFECT_FORMS)
+        assert {later for _, later, _ in effects} == set(EFFECT_LATER)
+        divisors = {op.value[1] for op in ops
+                    if op.kind == "arith" and op.value[0] in ("div", "mod")}
+        assert {0, "acc"} <= divisors
+
+    def test_only_used_helpers_are_declared(self):
+        spec = generate(iteration_rng(0, 0), GenConfig(depth=0))
+        spec = replace(spec, ops=(Op("eff", value=("binop", "let", 3)),))
+        source = render(spec).source
+        assert "fun pr(" in source
+        assert "pick" not in source and "Fuzz" not in source

@@ -22,6 +22,12 @@ where main <| int -> int
 """
 
 
+PRINTS_THEN_FAILS = """\
+fun main(u) = (print_int 1; print_int 2; sub(array(2, 5), 9))
+where main <| int -> int
+"""
+
+
 class TestEngines:
     def test_clean_program_all_engines_agree(self):
         result = run_differential(OVERFLOW)
@@ -34,6 +40,14 @@ class TestEngines:
         result = run_differential(OOB)
         assert result.ok, result.render()
         assert result.outcomes["interp-checked"].error == "BoundsError"
+
+    def test_outcome_records_printed_lines_and_message(self):
+        result = run_differential(PRINTS_THEN_FAILS)
+        assert result.ok, result.render()
+        reference = result.outcomes["interp-checked"]
+        assert reference.printed == ("1", "2")
+        assert reference.message == (
+            "Subscript: index 9 out of bounds for array of size 2")
 
     def test_pipeline_error_kind(self):
         result = run_differential("fun main(u) = nope(u)\n"

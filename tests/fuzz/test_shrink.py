@@ -5,7 +5,7 @@ repro under twenty source lines."""
 from dataclasses import replace
 
 from repro.fuzz.faults import get_fault
-from repro.fuzz.gen import GenConfig, generate, render
+from repro.fuzz.gen import GenConfig, Op, generate, render
 from repro.fuzz.oracle import run_differential
 from repro.fuzz.runner import fuzz, iteration_rng
 from repro.fuzz.shrink import shrink
@@ -42,6 +42,18 @@ class TestGreedyShrink:
         spec = replace(spec, ops=spec.ops[:1])
         shrunk, _ = shrink(spec, lambda s: True, max_attempts=120)
         assert len(shrunk.arrays) <= len(spec.arrays)
+
+
+    def test_simplifies_effect_ops(self):
+        spec = generate(iteration_rng(0, 0), GenConfig(depth=0))
+        spec = replace(spec, ops=(
+            Op("eff", target=0, idx=1, value=("update", "handle", 7)),))
+
+        def has_effect(candidate):
+            return any(op.kind == "eff" for op in candidate.ops)
+
+        shrunk, _ = shrink(spec, has_effect, max_attempts=60)
+        assert shrunk.ops == (Op("eff", value=("binop", "print", 0)),)
 
 
 class TestAcceptanceBar:
