@@ -130,7 +130,7 @@ class Dialect(ABC):
 
     def builtin_overrides(self) -> dict[str, str]:
         """First-class builtin definitions this dialect replaces
-        (merged over the core's ``_BUILTIN_VALUE_DEFS``)."""
+        (used instead of the ones the core builds)."""
         return {}
 
     # -- runtime value adaptation ----------------------------------------

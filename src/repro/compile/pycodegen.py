@@ -24,9 +24,20 @@ Core code-generation decisions:
   branch, not a call.  Kept ``update``/``hd``/``tl`` checks are inline
   too; an operand that is not a name, a literal or integer arithmetic
   over them is evaluated once, in order (see :meth:`PyCodegen._kept_access`);
-* arithmetic, comparisons and boolean operators inline to Python
-  operators (SML ``div``/``mod`` are floor-based, exactly Python's
-  ``//`` and ``%``);
+* the pure primitives are the rows of :data:`repro.lang.prims.PRIMS`,
+  shared with the interpreter: an application inlines a row's template
+  (``(a + b)``) or calls its function (``_print_int(x)``, which
+  evaluates to ``()``), and a first-class use is a lambda that does the
+  same.  ``div``/``mod`` by a non-zero literal are Python's
+  floor-based ``//``/``%``; any other divisor calls ``_div``/``_mod``,
+  which raise the interpreter's ``Div``/``Mod`` error on zero;
+* **operands evaluate left to right**: every multi-operand form (tuple,
+  application, primitive, ``::``, constructor, ``array``/``tabulate``,
+  access, statement write, loop step) compiles its operands through
+  :meth:`PyCodegen._operands`, which binds each earlier operand that
+  is not a name, a literal or integer arithmetic to a temporary before
+  a later operand emits statements (``let``, ``case``, ``;``,
+  ``handle``);
 * datatype values: ``nil``/``::`` become ``None``/``(head, tail)``
   pairs, other nullary constructors their tag string, unary ones
   ``(tag, value)`` pairs — identical across dialects;
@@ -64,25 +75,28 @@ import itertools
 from dataclasses import field
 from typing import Any, Optional
 
-from repro.compile.dialects import Dialect, get_dialect
+from repro.compile.dialects import Dialect, get_dialect, parens
 from repro.core.env import ALWAYS_CHECKED, CHECK_SITES, GlobalEnv
 from repro.lang import ast
+from repro.lang.prims import PRIMS
 from repro.records import record
 
-_PRELUDE = '''\
+#: Primitives inlined only when the divisor is a non-zero literal.
+_DIVISIONS = ("div", "mod")
+
+#: The functions of :data:`PRIMS` that compiled code may call.
+_CALLED = sorted(fn.__name__ for name, (fn, _, template) in PRIMS.items()
+                 if template is None or name in _DIVISIONS)
+
+_PRELUDE = f'''\
 from repro.compile.support import (
-    _compare, _empty, _hdc, _match_fail, _mk_list, _nth_checked,
+    _empty, _hdc, _match_fail, _mk_list, _nth_checked,
     _nth_unchecked, _oob, _ce, _cp, _raise, _subc, _tab_list, _tlc, _upd,
     _updc, from_pylist, to_pylist,
 )
 from repro.lang.errors import RaisedException as _Raised
+from repro.lang.prims import {", ".join(f"{f} as _{f}" for f in _CALLED)}
 '''
-
-#: Binary operators inlined to Python syntax.
-_INLINE_BINOPS = {
-    "+": "+", "-": "-", "*": "*", "div": "//", "mod": "%",
-    "=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-}
 
 _PY_KEYWORDS = frozenset(
     """False None True and as assert async await break class continue def
@@ -176,8 +190,7 @@ class PyCodegen:
         #: read/write/make emission.  The core never inspects it beyond
         #: the Dialect interface.
         self.dialect = get_dialect(dialect)
-        self._builtin_defs = dict(_BUILTIN_VALUE_DEFS)
-        self._builtin_defs.update(self.dialect.builtin_overrides())
+        self._overrides = self.dialect.builtin_overrides()
         self.out = _Emitter()
         self._temp = itertools.count(1)
         self._name_version = itertools.count(1)
@@ -485,17 +498,18 @@ class PyCodegen:
         parameter takes a literal's items component-wise and unpacks
         any other argument."""
         targets: list[str] = []
-        values: list[str] = []
+        items: list[ast.Expr] = []
         for arg, subject in zip(spine, subjects):
             if isinstance(subject, str):
                 targets.append(subject)
-                values.append(self.compile_expr(arg, scope))
+                items.append(arg)
             elif isinstance(arg, ast.ETuple):
                 targets.extend(subject)
-                values.extend(self.compile_expr(e, scope) for e in arg.items)
+                items.extend(arg.items)
             else:
                 targets.append(f"({', '.join(subject)})")
-                values.append(self.compile_expr(arg, scope))
+                items.append(arg)
+        values = self._operands(items, scope)
         changed = [(t, v) for t, v in zip(targets, values) if t != v]
         if changed:
             self.out.emit(f"{', '.join(t for t, _ in changed)} = "
@@ -526,12 +540,8 @@ class PyCodegen:
             return
         kept = self._is_kept(expr.fn.name, expr)
         # ``a[i] = v`` evaluates v first, and a kept write tests a and i
-        # before v: bind each operand that is not simple to a temporary,
-        # in order, so evaluation stays a, i, v.
-        a, i, v = expr.arg.items
-        a, i = self._simple_or_temp(a, scope), self._simple_or_temp(i, scope)
-        v = (self._simple_or_temp(v, scope) if kept
-             else self.compile_expr(v, scope))
+        # before v, so a and i (and a kept write's v) must be atoms.
+        a, i, v = self._operands(expr.arg.items, scope, atoms=3 if kept else 2)
         if kept:
             self.out.emit(f"if not {self.dialect.emit_in_bounds(a, i)}:")
             with self.out.block():
@@ -539,10 +549,45 @@ class PyCodegen:
         store = self.dialect.emit_store or self.dialect.emit_write
         self.out.emit(store(a, i, v))
 
-    def _simple_or_temp(self, expr: ast.Expr, scope: dict[str, str]) -> str:
-        """``expr``'s code, bound to a temporary unless it is simple."""
-        code = self.compile_expr(expr, scope)
-        return code if _is_simple(expr, scope) else self._ensure_atom(code)
+    def _operands(self, exprs: list[ast.Expr], scope: dict[str, str],
+                  atoms: int = 0) -> list[str]:
+        """Compile one form's operands, left to right, to code that the
+        form's line evaluates in order.
+
+        A later operand that emits statements (a ``let``, ``case``,
+        ``;`` or ``handle`` needs them) runs them before that line, so
+        each earlier operand that is not simple (:func:`_is_simple`) is
+        first bound to a temporary, in front of those statements.  The
+        first ``atoms`` operands are bound whenever they are not simple:
+        their form mentions them twice or Python evaluates them late.
+        """
+        codes: list[str] = []
+        unbound: list[int] = []
+        for k, expr in enumerate(exprs):
+            mark = len(self.out.lines)
+            code = self.compile_expr(expr, scope)
+            if unbound and len(self.out.lines) > mark:
+                emitted = self.out.lines[mark:]
+                del self.out.lines[mark:]
+                for j in unbound:
+                    codes[j] = self._ensure_atom(codes[j])
+                self.out.lines += emitted
+                unbound = []
+            if not _is_simple(expr, scope):
+                if k < atoms:
+                    code = self._ensure_atom(code)
+                else:
+                    unbound.append(k)
+            codes.append(code)
+        return codes
+
+    def _pair(self, arg: ast.Expr, scope: dict[str, str]) -> list[str]:
+        """The code of a pair argument's two items: a tuple literal's
+        operands, or any other pair bound once and indexed."""
+        if isinstance(arg, ast.ETuple) and len(arg.items) == 2:
+            return self._operands(arg.items, scope)
+        pair = self._ensure_atom(self.compile_expr(arg, scope))
+        return [f"{pair}[0]", f"{pair}[1]"]
 
     # -- expressions --------------------------------------------------------
 
@@ -558,7 +603,7 @@ class PyCodegen:
         if isinstance(expr, ast.ECon):
             return self._compile_bare_con(expr.name)
         if isinstance(expr, ast.ETuple):
-            items = [self.compile_expr(e, scope) for e in expr.items]
+            items = self._operands(expr.items, scope)
             if len(items) == 1:
                 return f"({items[0]},)"
             return "(" + ", ".join(items) + ")"
@@ -696,21 +741,8 @@ class PyCodegen:
             return self._compile_con_app(fn.name, expr.arg, scope)
         if isinstance(fn, ast.EVar) and fn.name not in scope:
             name = fn.name
-            if name in _INLINE_BINOPS:
-                return self._compile_binop(name, expr.arg, scope)
-            if name in {"~",}:
-                arg = self.compile_expr(expr.arg, scope)
-                return f"(-{self._parens(arg)})"
-            if name == "not":
-                return f"(not {self._parens(self.compile_expr(expr.arg, scope))})"
-            if name in {"min", "max"}:
-                if isinstance(expr.arg, ast.ETuple) and len(expr.arg.items) == 2:
-                    left = self.compile_expr(expr.arg.items[0], scope)
-                    right = self.compile_expr(expr.arg.items[1], scope)
-                    return f"{name}({left}, {right})"
-                return f"{name}(*{self.compile_expr(expr.arg, scope)})"
-            if name == "abs":
-                return f"abs({self.compile_expr(expr.arg, scope)})"
+            if name in PRIMS:
+                return self._compile_prim(name, expr.arg, scope)
             if name in CHECK_SITES or name in ALWAYS_CHECKED:
                 return self._compile_access(name, expr, scope)
             if name == "length":
@@ -720,36 +752,33 @@ class PyCodegen:
             if name in ("array", "tabulate"):
                 make = (self.dialect.emit_make if name == "array"
                         else self.dialect.emit_tabulate)
-                if isinstance(expr.arg, ast.ETuple) and len(expr.arg.items) == 2:
-                    size, init = (self.compile_expr(e, scope)
-                                  for e in expr.arg.items)
-                    return make(size, init)
-                packed = self._ensure_atom(self.compile_expr(expr.arg, scope))
-                return make(f"{packed}[0]", f"{packed}[1]")
-            if name == "compare":
-                return f"_compare(*{self.compile_expr(expr.arg, scope)})"
-            if name == "print_int":
-                return f"print({self.compile_expr(expr.arg, scope)})"
-            if name == "print_bool":
-                arg = self.compile_expr(expr.arg, scope)
-                return f"print('true' if {arg} else 'false')"
-        fn_code = self.compile_expr(fn, scope)
-        if isinstance(fn, ast.EVar) and fn_code in self._flat:
+                return make(*self._pair(expr.arg, scope))
+        if isinstance(fn, ast.EVar) and scope.get(fn.name) in self._flat:
             if isinstance(expr.arg, ast.ETuple):
-                items = [self.compile_expr(e, scope) for e in expr.arg.items]
-                return f"{fn_code}({', '.join(items)})"
-            return f"{fn_code}(*{self.compile_expr(expr.arg, scope)})"
-        arg_code = self.compile_expr(expr.arg, scope)
-        return f"{self._parens(fn_code)}({arg_code})"
+                items = self._operands(expr.arg.items, scope)
+                return f"{scope[fn.name]}({', '.join(items)})"
+            return f"{scope[fn.name]}(*{self.compile_expr(expr.arg, scope)})"
+        fn_code, arg_code = self._operands([fn, expr.arg], scope)
+        return f"{parens(fn_code)}({arg_code})"
 
-    def _compile_binop(self, op: str, arg: ast.Expr, scope: dict[str, str]) -> str:
-        py_op = _INLINE_BINOPS[op]
-        if isinstance(arg, ast.ETuple) and len(arg.items) == 2:
-            left = self.compile_expr(arg.items[0], scope)
-            right = self.compile_expr(arg.items[1], scope)
-            return f"({self._parens(left)} {py_op} {self._parens(right)})"
-        pair = self._ensure_atom(self.compile_expr(arg, scope))
-        return f"({pair}[0] {py_op} {pair}[1])"
+    def _compile_prim(self, name: str, arg: ast.Expr,
+                      scope: dict[str, str]) -> str:
+        """A primitive of :data:`PRIMS` applied to ``arg``."""
+        if PRIMS[name][1] == 1:
+            return self._prim_code(name, [self.compile_expr(arg, scope)])
+        literal = (isinstance(arg, ast.ETuple)
+                   and _nonzero_literal(arg.items[-1]))
+        return self._prim_code(name, self._pair(arg, scope), literal)
+
+    def _prim_code(self, name: str, codes: list[str],
+                   literal_divisor: bool = False) -> str:
+        """The row's template over ``codes``, or a call of its function
+        (always for a division unless its divisor is a non-zero
+        literal)."""
+        fn, _, template = PRIMS[name]
+        if template is None or (name in _DIVISIONS and not literal_divisor):
+            return f"_{fn.__name__}({', '.join(codes)})"
+        return template.format(*map(parens, codes))
 
     def _is_kept(self, name: str, expr: ast.EApp) -> bool:
         """Does this access keep its run-time check?"""
@@ -764,8 +793,9 @@ class PyCodegen:
         #: (code, simple) per operand; see :func:`_is_simple`.
         operands: list[tuple[str, bool]]
         if isinstance(arg, ast.ETuple):
-            operands = [(self.compile_expr(e, scope), _is_simple(e, scope))
-                        for e in arg.items]
+            codes = self._operands(arg.items, scope)
+            operands = [(code, code.isidentifier() or _is_simple(e, scope))
+                        for code, e in zip(codes, arg.items)]
         else:
             packed = self._ensure_atom(self.compile_expr(arg, scope))
             arity = {"sub": 2, "update": 3, "nth": 2, "hd": 1, "tl": 1}[base]
@@ -788,7 +818,7 @@ class PyCodegen:
             return self.dialect.emit_write(*parts)
         if base == "nth":
             return f"_nth_unchecked({parts[0]}, {parts[1]})"
-        return f"{self._parens(parts[0])}[{0 if base == 'hd' else 1}]"
+        return f"{parens(parts[0])}[{0 if base == 'hd' else 1}]"
 
     def _kept_access(self, base: str, operands: list[tuple[str, bool]]) -> str:
         """A kept check as an expression: the unchecked access behind an
@@ -823,17 +853,13 @@ class PyCodegen:
                     f"else _oob({a}, {i}))")
         (lst,), (lst_bind,) = names, binds
         field = 0 if base == "hd" else 1
-        return (f"({self._parens(lst)}[{field}] if {lst_bind} is not None "
+        return (f"({parens(lst)}[{field}] if {lst_bind} is not None "
                 f'else _empty("{base}"))')
 
     def _compile_con_app(self, con: str, arg: ast.Expr, scope: dict[str, str]) -> str:
-        if con == "::" and isinstance(arg, ast.ETuple) and len(arg.items) == 2:
-            return self.compile_expr(arg, scope)
-        arg_code = self.compile_expr(arg, scope)
         if con == "::":
-            packed = self._ensure_atom(arg_code)
-            return f"({packed}[0], {packed}[1])"
-        return f'("{con}", {arg_code})'
+            return "({}, {})".format(*self._pair(arg, scope))
+        return f'("{con}", {self.compile_expr(arg, scope)})'
 
     def _compile_bare_con(self, con: str) -> str:
         info = self.env.constructor(con)
@@ -963,59 +989,33 @@ class PyCodegen:
         self.out.emit(f"{temp} = {code}")
         return temp
 
-    @staticmethod
-    def _parens(code: str) -> str:
-        if (
-            code.isidentifier()
-            or code.isdigit()
-            or (code.startswith("(") and code.endswith(")"))
-        ):
-            return code
-        return f"({code})"
-
     def _builtin_value_def(self, name: str) -> str:
-        return self._builtin_defs[name]
+        """The definition of a builtin used as a first-class value: a
+        function of its argument that is the builtin's direct
+        application to the argument's items."""
+        if name in self._overrides:
+            return self._overrides[name]
+        arity = PRIMS[name][1] if name in PRIMS else _VALUE_CALLS[name][1]
+        param = "_p" if arity > 1 else "_x"
+        items = [f"_p[{k}]" for k in range(arity)] if arity > 1 else ["_x"]
+        body = (self._prim_code(name, items) if name in PRIMS
+                else f"{_VALUE_CALLS[name][0]}({', '.join(items)})")
+        return f"{_builtin_value_name(name)} = lambda {param}: {body}"
 
 
 def _builtin_value_name(name: str) -> str:
     return "_v_" + "".join(c if c.isalnum() else f"_{ord(c)}" for c in name)
 
 
-_BUILTIN_VALUE_DEFS = {
-    "+": f"{_builtin_value_name('+')} = lambda _p: _p[0] + _p[1]",
-    "-": f"{_builtin_value_name('-')} = lambda _p: _p[0] - _p[1]",
-    "*": f"{_builtin_value_name('*')} = lambda _p: _p[0] * _p[1]",
-    "div": f"{_builtin_value_name('div')} = lambda _p: _p[0] // _p[1]",
-    "mod": f"{_builtin_value_name('mod')} = lambda _p: _p[0] % _p[1]",
-    "~": f"{_builtin_value_name('~')} = lambda _x: -_x",
-    "min": f"{_builtin_value_name('min')} = lambda _p: min(_p[0], _p[1])",
-    "max": f"{_builtin_value_name('max')} = lambda _p: max(_p[0], _p[1])",
-    "abs": f"{_builtin_value_name('abs')} = lambda _x: abs(_x)",
-    "=": f"{_builtin_value_name('=')} = lambda _p: _p[0] == _p[1]",
-    "<>": f"{_builtin_value_name('<>')} = lambda _p: _p[0] != _p[1]",
-    "<": f"{_builtin_value_name('<')} = lambda _p: _p[0] < _p[1]",
-    "<=": f"{_builtin_value_name('<=')} = lambda _p: _p[0] <= _p[1]",
-    ">": f"{_builtin_value_name('>')} = lambda _p: _p[0] > _p[1]",
-    ">=": f"{_builtin_value_name('>=')} = lambda _p: _p[0] >= _p[1]",
-    "not": f"{_builtin_value_name('not')} = lambda _x: not _x",
-    "compare": f"{_builtin_value_name('compare')} = lambda _p: _compare(_p[0], _p[1])",
-    "length": f"{_builtin_value_name('length')} = lambda _a: len(_a)",
-    "array": f"{_builtin_value_name('array')} = lambda _p: _mk_list(_p[0], _p[1])",
-    "tabulate": f"{_builtin_value_name('tabulate')} = "
-                "lambda _p: _tab_list(_p[0], _p[1])",
-    "sub": f"{_builtin_value_name('sub')} = lambda _p: _subc(_p[0], _p[1])",
-    "update": f"{_builtin_value_name('update')} = lambda _p: _updc(_p[0], _p[1], _p[2])",
-    "subCK": f"{_builtin_value_name('subCK')} = lambda _p: _subc(_p[0], _p[1])",
-    "updateCK": f"{_builtin_value_name('updateCK')} = lambda _p: _updc(_p[0], _p[1], _p[2])",
-    "nth": f"{_builtin_value_name('nth')} = lambda _p: _nth_checked(_p[0], _p[1])",
-    "nthCK": f"{_builtin_value_name('nthCK')} = lambda _p: _nth_checked(_p[0], _p[1])",
-    "hd": f"{_builtin_value_name('hd')} = lambda _l: _hdc(_l)",
-    "tl": f"{_builtin_value_name('tl')} = lambda _l: _tlc(_l)",
-    "hdCK": f"{_builtin_value_name('hdCK')} = lambda _l: _hdc(_l)",
-    "tlCK": f"{_builtin_value_name('tlCK')} = lambda _l: _tlc(_l)",
-    "print_int": f"{_builtin_value_name('print_int')} = lambda _x: print(_x)",
-    "print_bool": f"{_builtin_value_name('print_bool')} = "
-                  f"lambda _x: print('true' if _x else 'false')",
+#: The other builtins as first-class values: name -> (the support
+#: function that applies them, number of argument items).
+_VALUE_CALLS = {
+    "length": ("len", 1), "array": ("_mk_list", 2),
+    "tabulate": ("_tab_list", 2), "sub": ("_subc", 2), "subCK": ("_subc", 2),
+    "update": ("_updc", 3), "updateCK": ("_updc", 3),
+    "nth": ("_nth_checked", 2), "nthCK": ("_nth_checked", 2),
+    "hd": ("_hdc", 1), "hdCK": ("_hdc", 1), "tl": ("_tlc", 1),
+    "tlCK": ("_tlc", 1),
 }
 
 
@@ -1036,11 +1036,14 @@ def _is_simple(expr: ast.Expr, scope: dict[str, str]) -> bool:
     if not (isinstance(arg, ast.ETuple) and len(arg.items) == 2):
         return False
     left, right = arg.items
-    if op in ("div", "mod"):  # only a non-zero literal divisor cannot raise
-        return (isinstance(right, ast.EInt) and right.value != 0
-                and _is_simple(left, scope))
+    if op in _DIVISIONS:  # only a non-zero literal divisor cannot raise
+        return _nonzero_literal(right) and _is_simple(left, scope)
     return op in ("+", "-", "*") and all(
         _is_simple(e, scope) for e in arg.items)
+
+
+def _nonzero_literal(expr: ast.Expr) -> bool:
+    return isinstance(expr, ast.EInt) and expr.value != 0
 
 
 def _emits_statements(expr: ast.Expr) -> bool:

@@ -22,6 +22,11 @@ eliminated one drops it.  The checked helpers ``_subc``/``_updc``/
 are not names, literals or integer arithmetic.  The failure paths
 (``_oob``, ``_empty``, ``_nth_checked``) raise the interpreter's
 exceptions with the interpreter's messages.
+
+The pure primitives that compiled code calls rather than inlines
+(``_div``, ``_mod``, ``_compare``, ``_print_int``, ``_print_bool``)
+are not here: the generated module imports them from
+:mod:`repro.lang.prims`, the one definition the interpreter uses too.
 """
 
 from __future__ import annotations
@@ -128,14 +133,6 @@ def _mk_list(n: int, v):
 def _tab_list(n: int, f):
     """``tabulate(n, f)`` as a Python list."""
     return [f(i) for i in range(_size(n))]
-
-
-def _compare(a, b):
-    if a < b:
-        return "LESS"
-    if a == b:
-        return "EQUAL"
-    return "GREATER"
 
 
 class Counters:

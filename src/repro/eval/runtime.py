@@ -1,6 +1,8 @@
 """Primitive operations and run-time check accounting.
 
-Every name ``assert``ed in the prelude has its implementation here.
+Every name ``assert``ed in the prelude has its implementation here or,
+for the pure primitives shared with compiled code (arithmetic,
+comparisons, ``compare``, printing), in :mod:`repro.lang.prims`.
 The array/list access primitives come in two flavours, mirroring the
 paper's experimental setup (Section 4):
 
@@ -22,12 +24,11 @@ exploit.
 from __future__ import annotations
 
 from dataclasses import MISSING, fields
-from typing import Any
 
 from repro.eval import values as rv
 from repro.eval.values import ConV, BuiltinV
+from repro.lang import prims
 from repro.lang.errors import (
-    EvalError,
     empty_error,
     nth_error,
     size_error,
@@ -65,108 +66,6 @@ class RuntimeStats:
                 setattr(self, spec.name, spec.default)
 
 
-def _as_pair(arg: Any) -> tuple:
-    if not isinstance(arg, tuple) or len(arg) != 2:
-        raise EvalError(f"expected a pair, got {rv.render(arg)}")
-    return arg
-
-
-# -- arithmetic -------------------------------------------------------------
-
-
-def _add(arg, stats):
-    a, b = arg
-    return a + b
-
-
-def _sub_(arg, stats):
-    a, b = arg
-    return a - b
-
-
-def _mul(arg, stats):
-    a, b = arg
-    return a * b
-
-
-def _div(arg, stats):
-    a, b = arg
-    if b == 0:
-        raise EvalError("Div: division by zero")
-    return a // b  # SML div is floor division
-
-
-def _mod(arg, stats):
-    a, b = arg
-    if b == 0:
-        raise EvalError("Mod: modulo by zero")
-    return a - b * (a // b)
-
-
-def _neg(arg, stats):
-    return -arg
-
-
-def _min(arg, stats):
-    a, b = arg
-    return a if a <= b else b
-
-
-def _max(arg, stats):
-    a, b = arg
-    return a if a >= b else b
-
-
-def _abs(arg, stats):
-    return arg if arg >= 0 else -arg
-
-
-# -- comparisons -----------------------------------------------------------
-
-
-def _eq(arg, stats):
-    a, b = arg
-    return a == b
-
-
-def _ne(arg, stats):
-    a, b = arg
-    return a != b
-
-
-def _lt(arg, stats):
-    a, b = arg
-    return a < b
-
-
-def _le(arg, stats):
-    a, b = arg
-    return a <= b
-
-
-def _gt(arg, stats):
-    a, b = arg
-    return a > b
-
-
-def _ge(arg, stats):
-    a, b = arg
-    return a >= b
-
-
-def _not(arg, stats):
-    return not arg
-
-
-def _compare(arg, stats):
-    a, b = arg
-    if a < b:
-        return ConV("LESS")
-    if a == b:
-        return ConV("EQUAL")
-    return ConV("GREATER")
-
-
 # -- arrays -----------------------------------------------------------------
 
 
@@ -180,6 +79,14 @@ def _array(arg, stats):
         raise size_error()
     stats.allocations += 1
     return [init] * n
+
+
+def _tabulate(arg, stats, apply):
+    n, fn = arg
+    if n < 0:
+        raise size_error()
+    stats.allocations += 1
+    return [apply(fn, i) for i in range(n)]
 
 
 def _sub(arg, stats, checked):
@@ -282,52 +189,20 @@ def _tl_ck(arg, stats):
     return _tl(arg, stats, True)
 
 
-# -- io ------------------------------------------------------------------
-
-
-def _tabulate(arg, stats, apply):
-    n, fn = arg
-    if n < 0:
-        raise size_error()
-    stats.allocations += 1
-    return [apply(fn, i) for i in range(n)]
-
-
-def _print_int(arg, stats):
-    print(arg)
-    return rv.UNIT
-
-
-def _print_bool(arg, stats):
-    print("true" if arg else "false")
-    return rv.UNIT
-
-
 def make_builtins() -> dict[str, BuiltinV]:
-    """The prelude's runtime, keyed by asserted name."""
-    plain = {
-        "+": _add,
-        "-": _sub_,
-        "*": _mul,
-        "div": _div,
-        "mod": _mod,
-        "~": _neg,
-        "min": _min,
-        "max": _max,
-        "abs": _abs,
-        "=": _eq,
-        "<>": _ne,
-        "<": _lt,
-        "<=": _le,
-        ">": _gt,
-        ">=": _ge,
-        "not": _not,
-        "compare": _compare,
-        "length": _length,
-        "array": _array,
-        "print_int": _print_int,
-        "print_bool": _print_bool,
-    }
+    """The prelude's runtime, keyed by asserted name: the shared pure
+    primitives of :data:`repro.lang.prims.PRIMS` and the array and list
+    operations above."""
+    table: dict[str, BuiltinV] = {}
+    for name, (fn, arity, _) in prims.PRIMS.items():
+        call = ((lambda arg, stats, fn=fn: fn(*arg)) if arity == 2
+                else (lambda arg, stats, fn=fn: fn(arg)))
+        table[name] = BuiltinV(name, call)
+    table["compare"] = BuiltinV(
+        "compare", lambda arg, stats: ConV(prims.compare(*arg)))
+    table["length"] = BuiltinV("length", _length)
+    table["array"] = BuiltinV("array", _array)
+    table["tabulate"] = BuiltinV("tabulate", _tabulate, needs_apply=True)
     checkable = {
         "sub": (_sub, "bound"),
         "update": (_update, "bound"),
@@ -342,10 +217,6 @@ def make_builtins() -> dict[str, BuiltinV]:
         "hdCK": (_hd_ck, "tag"),
         "tlCK": (_tl_ck, "tag"),
     }
-    table: dict[str, BuiltinV] = {}
-    for name, fn in plain.items():
-        table[name] = BuiltinV(name, fn)
-    table["tabulate"] = BuiltinV("tabulate", _tabulate, needs_apply=True)
     for name, (fn, kind) in checkable.items():
         table[name] = BuiltinV(name, fn, check_kind=kind)
     for name, (fn, kind) in always.items():

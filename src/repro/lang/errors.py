@@ -92,7 +92,7 @@ class MatchFailure(EvalError):
     """No pattern-match clause applied (SML's ``Match``)."""
 
 
-# Run-time faults of the array and list primitives.  The interpreter
+# Run-time faults of the primitives.  The interpreter
 # and compiled code both raise these, so a fault reads the same in
 # ``repro run`` and ``repro compile-and-run``; callers build one only on
 # the failure path.
@@ -118,6 +118,12 @@ def empty_error(op: str) -> TagError:
 def size_error() -> EvalError:
     """``array``/``tabulate`` asked for a negative size."""
     return EvalError("Size: negative array size")
+
+
+def division_error(op: str) -> EvalError:
+    """``op`` (``div`` or ``mod``) by zero."""
+    return EvalError("Div: division by zero" if op == "div"
+                     else "Mod: modulo by zero")
 
 
 class RaisedException(Exception):

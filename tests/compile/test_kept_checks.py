@@ -4,7 +4,9 @@ In every dialect a kept ``sub``/``update``/``hd``/``tl`` compiles to the
 dialect's unchecked access behind an inline test, not to a helper call.
 These tests pin what that must preserve against the interpreter: the
 exception and its message, the order in which the operands are
-evaluated, and the dynamic check counts.
+evaluated, and the dynamic check counts.  The same holds for the other
+run-time faults (division by zero), for the operands of every
+multi-operand form, and for each primitive of the shared table.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.eval.interp import Interpreter
 from repro.eval.runtime import RuntimeStats
 from repro.fuzz.oracle import run_differential
 from repro.lang.errors import DMLError
+from repro.lang.prims import PRIMS
 
 DIALECTS = available_dialects()
 
@@ -89,12 +92,18 @@ fun wr(i) = update(array(2, 0), i, 1)
 fun hd_nil(u) = hd(tl(1 :: nil))
 fun tl_nil(u) = tl(tl(1 :: nil))
 fun nth_of(n) = nth(1 :: 2 :: nil, n)
+fun div_by(n) = 10 div n
+fun mod_by(n) = 10 mod n
+fun div_value(n) = let val f = op div in f(10, n) end
+fun mod_value(n) = let val f = op mod in f(10, n) end
 """
 
-#: A read or write below 0 and at the length, hd/tl of nil, and nth
-#: with a negative index and past the end.
+#: A read or write below 0 and at the length, hd/tl of nil, nth with a
+#: negative index and past the end, and division and modulus by zero,
+#: direct and first-class.
 FAULT_CASES = [("rd", -1), ("rd", 2), ("wr", -1), ("wr", 2), ("hd_nil", 0),
-               ("tl_nil", 0), ("nth_of", -1), ("nth_of", 2)]
+               ("tl_nil", 0), ("nth_of", -1), ("nth_of", 2), ("div_by", 0),
+               ("mod_by", 0), ("div_value", 0), ("mod_value", 0)]
 
 
 def _error_line(thunk) -> str:
@@ -127,6 +136,11 @@ fun write(i) = update(arr 0, idx i, item 0)
 fun write_then(i) = (update(arr 0, idx i, item 0); 0)
 fun write_bound(i) = let val u = update(arr 0, idx i, item 0) in 0 end
 fun write_simple_index(i) = (update(arr 0, i, item 0); 0)
+fun read_let(i) = sub(arr 0, let val j = idx i in j end)
+fun write_let(i) =
+  let val u = update(arr 0, let val j = idx i in j end, item 0) in 0 end
+fun write_let_value(i) =
+  let val u = update(arr 0, idx i, let val v = item 0 in v end) in 0 end
 """
 
 #: Entry -> what its operands print, once each and in order, whether or
@@ -138,6 +152,9 @@ ORDER_PRINTS = {
     "write_then": "1\n2\n3\n",
     "write_bound": "1\n2\n3\n",
     "write_simple_index": "1\n3\n",
+    "read_let": "1\n2\n",
+    "write_let": "1\n2\n3\n",
+    "write_let_value": "1\n2\n3\n",
 }
 
 
@@ -163,6 +180,99 @@ def test_operands_evaluate_once_in_order(capsys, dialect, entry):
         assert compiled[0] == interpreted[0] == ORDER_PRINTS[entry], index
         assert compiled[1] == interpreted[1], index
         assert (compiled[1] == "BoundsError") == (index != 1), index
+
+
+EFFECTS = """\
+datatype color = Red | Green of int
+fun p(k) = (print_int k; k)
+fun cur x y = x - y
+fun tuple(u) = (p 1, let val j = p 2 in j end)
+fun plus(u) = p 1 + (let val j = p 2 in j end)
+fun curried(u) = cur (p 1) (let val j = p 2 in j end)
+fun cons(u) = p 1 :: (let val j = p 2 in j end) :: nil
+fun read(u) = sub(array(3, p 1), let val j = p 2 in j end)
+fun loop(n, acc) =
+  if n = 0 then acc else loop(p n - 1, let val j = p acc in j + 1 end)
+fun print_pair(u) = (print_int 7, 2)
+fun print_bound(u) = let val r = print_bool true in r end
+fun list_result(u) = 1 :: 2 :: nil
+fun order_result(n) = compare(n, 3)
+fun ctor_result(n) = if n > 0 then Green n else Red
+"""
+
+#: (entry, argument, what the interpreter prints).  Each multi-operand
+#: form has a printing operand before a ``let`` operand; the printing
+#: primitives evaluate to unit; lists and constructors are results.
+EFFECT_CASES = [
+    ("tuple", 0, ("1", "2")), ("plus", 0, ("1", "2")),
+    ("curried", 0, ("1", "2")), ("cons", 0, ("1", "2")),
+    ("read", 0, ("1", "2")), ("loop", (2, 0), ("2", "0", "1", "1")),
+    ("print_pair", 0, ("7",)), ("print_bound", 0, ("true",)),
+    ("list_result", 0, ()), ("order_result", 2, ()),
+    ("order_result", 3, ()), ("ctor_result", 3, ()), ("ctor_result", 0, ()),
+]
+
+
+@pytest.mark.parametrize("entry,arg,printed", EFFECT_CASES)
+def test_engines_agree_on_effects_and_results(entry, arg, printed):
+    result = run_differential(EFFECTS, name="effects.dml", entry=entry,
+                              args=(arg,))
+    assert result.outcomes["interp-checked"].printed == printed
+    assert result.ok, result.render()
+
+
+# -- the primitive table ------------------------------------------------------
+
+#: Rows of the table whose operands are booleans; the others take ints.
+BOOL_ROWS = ("not", "print_bool")
+INTS = (-7, -2, 0, 1, 3)
+
+
+def _table_entries() -> tuple[str, list[tuple[str, list]]]:
+    """DML source applying every row of the table inline and as a
+    first-class value; a row of two operands also takes the literals 3
+    and ~3 as its second.  Returns the source and (entry, arguments)."""
+    lines, entries = [], []
+    for k, (name, (_, arity, _)) in enumerate(PRIMS.items()):
+        if arity == 2:
+            args = [(x, y) for x in INTS for y in INTS]
+            forms = {f"i{k}": f"(op {name})(x, y)",
+                     f"v{k}": f"let val f = op {name} in f(x, y) end",
+                     f"p{k}": f"(op {name})(x, 3)",
+                     f"n{k}": f"(op {name})(x, ~3)"}
+            param = "(x, y)"
+        else:
+            args = [True, False] if name in BOOL_ROWS else list(INTS)
+            forms = {f"i{k}": f"(op {name}) x",
+                     f"v{k}": f"let val f = op {name} in f x end"}
+            param = "x"
+        for entry, body in forms.items():
+            lines.append(f"fun {entry} {param} = {body}")
+            entries.append((entry, args))
+    return "\n".join(lines) + "\n", entries
+
+
+def _run(capsys, thunk) -> tuple:
+    """(value or error line, printed output); a constructor by its tag."""
+    try:
+        value = thunk()
+    except DMLError as exc:
+        value = f"{type(exc).__name__}: {exc}"
+    return getattr(value, "con", value), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_primitive_table_matches_interpreter(capsys, dialect):
+    source, entries = _table_entries()
+    report = api.check(source, "prims.dml")
+    interp = Interpreter(report.program, set(), env=report.env)
+    module = compile_program(report.program, report.env, set(), "prims",
+                             dialect=dialect)
+    for entry, args in entries:
+        for arg in args:
+            expected = _run(capsys, lambda: interp.call(entry, arg))
+            assert _run(capsys, lambda: module.run(entry, arg)) == expected, (
+                entry, arg)
 
 
 # -- dynamic counts -----------------------------------------------------------
