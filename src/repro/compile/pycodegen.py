@@ -24,20 +24,16 @@ Core code-generation decisions:
   branch, not a call.  Kept ``update``/``hd``/``tl`` checks are inline
   too; an operand that is not a name, a literal or integer arithmetic
   over them is evaluated once, in order (see :meth:`PyCodegen._kept_access`);
-* the pure primitives are the rows of :data:`repro.lang.prims.PRIMS`,
-  shared with the interpreter: an application inlines a row's template
-  (``(a + b)``) or calls its function (``_print_int(x)``, which
-  evaluates to ``()``), and a first-class use is a lambda that does the
-  same.  ``div``/``mod`` by a non-zero literal are Python's
+* a pure primitive inlines the template of its row in
+  :data:`repro.lang.prims.PRIMS`, which the interpreter shares
+  (``(a + b)``), or calls the row's function (``_print_int(x)``, which
+  returns ``()``).  ``div``/``mod`` by a non-zero literal are the
   floor-based ``//``/``%``; any other divisor calls ``_div``/``_mod``,
   which raise the interpreter's ``Div``/``Mod`` error on zero;
-* **operands evaluate left to right**: every multi-operand form (tuple,
-  application, primitive, ``::``, constructor, ``array``/``tabulate``,
-  access, statement write, loop step) compiles its operands through
-  :meth:`PyCodegen._operands`, which binds each earlier operand that
-  is not a name, a literal or integer arithmetic to a temporary before
-  a later operand emits statements (``let``, ``case``, ``;``,
-  ``handle``);
+* **operands evaluate left to right**: every multi-operand form
+  compiles its operands through :meth:`PyCodegen._operands`, which
+  binds each earlier operand that is not simple to a temporary before a
+  later one emits statements (``let``, ``case``, ``;``, ``handle``);
 * datatype values: ``nil``/``::`` become ``None``/``(head, tail)``
   pairs, other nullary constructors their tag string, unary ones
   ``(tag, value)`` pairs — identical across dialects;
@@ -1057,14 +1053,16 @@ def _emits_statements(expr: ast.Expr) -> bool:
             or _emits_statements(expr.els)
         )
     if isinstance(expr, ast.EApp):
-        # Access primitives applied to a non-literal-tuple argument
-        # need a temp for the packed pair (emitted as a statement).
-        if (
-            isinstance(expr.fn, ast.EVar)
-            and (expr.fn.name in CHECK_SITES or expr.fn.name in ALWAYS_CHECKED)
-            and not isinstance(expr.arg, ast.ETuple)
-            and not isinstance(expr.arg, ast.EVar)
-        ):
+        # A builtin that takes its argument's items (an access, a pair
+        # primitive, array/tabulate, ``::``) binds an argument that is
+        # not a tuple literal or a name to a temporary: a statement.
+        fn = expr.fn
+        if not isinstance(expr.arg, (ast.ETuple, ast.EVar)) and (
+            (isinstance(fn, ast.ECon) and fn.name == "::")
+            or (isinstance(fn, ast.EVar)
+                and (fn.name in CHECK_SITES or fn.name in ALWAYS_CHECKED
+                     or fn.name in ("array", "tabulate")
+                     or PRIMS.get(fn.name, (None, 1))[1] == 2))):
             return True
         return _emits_statements(expr.fn) or _emits_statements(expr.arg)
     if isinstance(expr, ast.ETuple):

@@ -71,7 +71,7 @@ class SiteTruth:
     line: int
     op: str  # "sub" | "update" | "nth" | "hd"
     eliminable: bool
-    note: str  # template key or "direct"
+    note: str  # template key, "direct" or "effect"
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,9 @@ fun cons(u) = p 1 :: (let val j = p 2 in j end) :: nil
 fun read(u) = sub(array(3, p 1), let val j = p 2 in j end)
 fun loop(n, acc) =
   if n = 0 then acc else loop(p n - 1, let val j = p acc in j + 1 end)
+fun twice(k) = (print_int k; (k, k))
+fun branch_sum(c) = 1 + (if c > 0 then (op +) (twice c) else 0)
+fun branch_array(c) = 1 + (if c > 0 then length(array (twice c)) else 0)
 fun print_pair(u) = (print_int 7, 2)
 fun print_bound(u) = let val r = print_bool true in r end
 fun list_result(u) = 1 :: 2 :: nil
@@ -201,12 +204,15 @@ fun ctor_result(n) = if n > 0 then Green n else Red
 """
 
 #: (entry, argument, what the interpreter prints).  Each multi-operand
-#: form has a printing operand before a ``let`` operand; the printing
-#: primitives evaluate to unit; lists and constructors are results.
+#: form has a printing operand before a ``let`` operand; a branch not
+#: taken runs none of its operands; the printing primitives evaluate to
+#: unit; lists and constructors are results.
 EFFECT_CASES = [
     ("tuple", 0, ("1", "2")), ("plus", 0, ("1", "2")),
     ("curried", 0, ("1", "2")), ("cons", 0, ("1", "2")),
     ("read", 0, ("1", "2")), ("loop", (2, 0), ("2", "0", "1", "1")),
+    ("branch_sum", 0, ()), ("branch_sum", 2, ("2",)),
+    ("branch_array", 0, ()), ("branch_array", 2, ("2",)),
     ("print_pair", 0, ("7",)), ("print_bound", 0, ("true",)),
     ("list_result", 0, ()), ("order_result", 2, ()),
     ("order_result", 3, ()), ("ctor_result", 3, ()), ("ctor_result", 0, ()),

@@ -24,7 +24,7 @@ BCOPY = "src/repro/programs/bcopy.dml"
 #: Packages and modules the ``check`` path must never load.
 FORBIDDEN = (
     "repro.driver", "repro.compile", "repro.eval", "repro.bench",
-    "repro.server", "repro.fuzz",
+    "repro.server", "repro.fuzz", "repro.lang.prims",
     "repro.solver.omega", "repro.solver.simplex", "repro.solver.interval",
     "sqlite3", "multiprocessing", "concurrent.futures",
 )
