@@ -339,9 +339,12 @@ def _define_divmod(node: BinOp, defs: _Definitions) -> IndexTerm:
     else:
         divisor = node.right
         if not isinstance(divisor, IConst) or divisor.value == 0:
+            # The reason is stored with the verdict and compared across
+            # processes, so it names no variable: their numbering is
+            # per process.
+            kind = "zero" if isinstance(divisor, IConst) else "non-constant"
             raise UnsupportedGoal(
-                f"cannot linearize {node.op} with non-constant divisor: {node}"
-            )
+                f"cannot linearize {node.op} by a {kind} divisor")
         c = divisor.value
         key = BinOp("div", node.left, node.right)
         if key in defs.cache:

@@ -232,11 +232,14 @@ class TestOperatorElimination:
         ).proved
 
     def test_div_nonconstant_divisor_unsupported(self):
-        q = terms.BinOp("div", IVar("n"), IVar("m"))
-        result = self.prove({"n": NAT, "m": NAT}, [],
-                            terms.cmp("<=", IConst(0), q))
-        assert not result.proved
-        assert "divisor" in result.reason
+        # The reason is compared across processes (verdict stores,
+        # jobs=1 vs jobs=4), so it must not name a variable.
+        for divisor, kind in ((IVar("m"), "non-constant"), (IConst(0), "zero")):
+            q = terms.BinOp("div", IVar("n"), divisor)
+            result = self.prove({"n": NAT, "m": NAT}, [],
+                                terms.cmp("<=", IConst(0), q))
+            assert not result.proved
+            assert result.reason == f"cannot linearize div by a {kind} divisor"
 
     def test_mod_bounds(self):
         r = terms.BinOp("mod", IVar("n"), IConst(8))
