@@ -33,8 +33,9 @@ under differential test.
 Effects ride along too (``eff`` ops): a printing helper ``pr`` is an
 operand of a binary operator, a tuple, a curried call, a read or a
 write, followed by a later operand that is a ``let``, ``case``, ``;``,
-``handle`` or another print, so the oracle's comparison of printed
-lines checks that every engine evaluates operands left to right.  A
+``handle``, another print or a conditional that prints in one branch,
+so the oracle's comparison of printed lines checks that every engine
+evaluates operands left to right, each once and only where taken.  A
 division or modulus may take a zero divisor (a literal ``0`` or the
 accumulator), so every engine must raise the interpreter's error.
 These ops are drawn after all others, leaving a seed's other shapes as
@@ -326,6 +327,8 @@ EFFECT_HELPERS = {
            "where pr <| {n:int} int(n) -> int(n)"],
     "pick": ["fun pick(x, y) = x - y", "where pick <| int * int -> int"],
     "cur": ["fun cur x y = x + y", "where cur <| int -> int -> int"],
+    "dup": ["fun dup(x) = (print_int x; (x, x))",
+            "where dup <| int -> int * int"],
 }
 
 #: ``eff`` forms, by the line they render: ``s`` is the accumulator,
@@ -340,14 +343,16 @@ EFFECT_FORMS = {
     "update": "val () = update({a}, pr {i}, ({L}))",
 }
 
-#: Later operands, each printing and evaluating to ``k``; all but
-#: ``print`` need statements in compiled code.
+#: Later operands, each printing on the way to an int; all but
+#: ``print`` and ``branch`` need statements in compiled code, and
+#: ``branch`` prints only when its condition holds.
 EFFECT_LATER = {
     "print": "pr {k}",
     "let": "let val t = pr {k} in t end",
     "case": "case pr {k} of 0 => 0 | t => t",
     "seq": "print_int {k}; {k}",
     "handle": "pr {k} handle Fuzz => 0",
+    "branch": "if {k} > 4 then (op +) (dup {k}) else {k}",
 }
 
 
