@@ -991,12 +991,11 @@ class PyCodegen:
         application to the argument's items."""
         if name in self._overrides:
             return self._overrides[name]
-        arity = PRIMS[name][1] if name in PRIMS else _VALUE_CALLS[name][1]
-        param = "_p" if arity > 1 else "_x"
-        items = [f"_p[{k}]" for k in range(arity)] if arity > 1 else ["_x"]
+        arity = (PRIMS.get(name) or _VALUE_CALLS[name])[1]
+        items = [f"_p[{k}]" for k in range(arity)] if arity > 1 else ["_p"]
         body = (self._prim_code(name, items) if name in PRIMS
                 else f"{_VALUE_CALLS[name][0]}({', '.join(items)})")
-        return f"{_builtin_value_name(name)} = lambda {param}: {body}"
+        return f"{_builtin_value_name(name)} = lambda _p: {body}"
 
 
 def _builtin_value_name(name: str) -> str:
