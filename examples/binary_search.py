@@ -17,7 +17,6 @@ Run:  python examples/binary_search.py
 import random
 
 from repro import api
-from repro.bench.harness import figure4
 from repro.eval.interp import Interpreter
 
 
@@ -28,8 +27,11 @@ def main() -> None:
 
     print("The Figure 4 constraints (regenerated; all involve the")
     print("midpoint expression l + (h - l) div 2):")
-    for line in figure4():
-        print(" ", line)
+    store = report.elab.store
+    for result in report.goal_results:
+        text = result.goal.text(store)
+        if "div" in text:
+            print(f"  [{'solved' if result.proved else 'UNSOLVED'}] {text}")
     print()
 
     # Run a search workload and observe zero checked accesses.

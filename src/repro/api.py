@@ -182,7 +182,7 @@ class CheckReport:
 # Parsing and ML-inferring prelude.dml is identical work on every
 # ``check`` call, yet it used to run *inside* the timed generation
 # window — inflating Table 1's generation column and slowing every
-# corpus/bench run.  We infer the prelude once into a template
+# corpus run.  We infer the prelude once into a template
 # inferencer and hand each check a fork: the immutable payloads
 # (schemes, types, interned index terms) are shared read-only, and
 # only the small mutable registries are copied, so a check's own

@@ -20,8 +20,6 @@ Subcommands:
   place);
 * ``dml certify FILE``  — issue a safety certificate for the eliminated
   checks and re-verify it with an independent ``--verifier`` backend;
-* ``dml bench``         — regenerate the paper's tables (delegates to
-  ``python -m repro.bench``);
 * ``dml check-corpus``  — check every bundled corpus program through
   the parallel, incrementally-cached driver (``repro.driver``) and
   print an aggregate Table-1-style report with cache telemetry;
@@ -55,12 +53,12 @@ from repro.lang.source import SourceFile
 from repro.solver.backends import backend_names
 from repro.solver.budget import DEFAULT_LIMITS, SolverLimits
 
-# Argparse choices owned by registries that import the code generator
-# or the bench workloads.  Every invocation builds the whole parser, so
-# it keeps copies of the names; tests/test_cli_imports.py pins each
+# Argparse choices owned by registries under repro.compile, which the
+# check path must not import.  Every invocation builds the whole parser,
+# so it keeps copies of the names; tests/test_cli_imports.py pins each
 # copy to its registry.
 DIALECTS = ("numpy", "packed", "plain")  # compile.dialects.dialect_names()
-PRESETS = ("small", "default", "paper", "huge")  # bench.workloads.PRESETS
+PRESETS = ("small", "default", "paper", "huge")  # compile.workloads.PRESETS
 
 
 class UsageError(Exception):
@@ -223,10 +221,10 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro import programs
-    from repro.bench import workloads as wl
     from repro.compile import support
+    from repro.compile import workloads as wl
     from repro.compile.dialects import DialectError, get_dialect
-    from repro.compile.pycodegen import compile_program, mangle
+    from repro.compile.pycodegen import compile_program, mangle, value_shape
 
     path = Path(args.file)
     if path.exists():
@@ -281,7 +279,7 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
 
         def build_args() -> tuple:
             rng = random.Random(wl.SEED)
-            raw = workload.build_with(params, support.from_pylist, rng)
+            raw = workload.build(params, support.from_pylist, rng)
             return dialect.adapt_args(raw)
     else:
         print(f"error: entry {entry!r} needs argument literals (FILE is "
@@ -334,10 +332,10 @@ def cmd_compile_and_run(args: argparse.Namespace) -> int:
     if workload and params or not ok:
         print(f"  result    : {'ok' if ok else 'MISMATCH'}")
     else:
-        from repro.eval.values import render
-
         result_ty = _result_type(report.program, entry, len(args.args))
-        text = render(_interp_value(extracted, result_ty, report.env))
+        data: dict = {}
+        text = support.show(extracted, value_shape(result_ty, report.env, data),
+                            data)
         if len(text) > 70:
             text = text[:67] + "..."
         print(f"  result    : {text}")
@@ -363,41 +361,6 @@ def _result_type(program, entry: str, nargs: int):
     for _ in range(nargs):
         ty = ty.cod if isinstance(ty, ml.MLArrow) else None
     return ty
-
-
-def _interp_value(value: Any, ty, env) -> Any:
-    """A compiled value in the interpreter's representation, read by
-    its ML type ``ty``: a list's ``None``/``(head, tail)`` spine becomes
-    a ``::`` chain and a constructor's tag or ``(tag, arg)`` pair a
-    ``ConV``.  Parts of unknown type (``ty`` ``None`` or a type
-    variable) are kept as they are."""
-    from repro.eval.values import ConV, from_pylist
-    from repro.types import erasure
-    from repro.types import mltype as ml
-
-    if isinstance(ty, ml.MLTuple) and isinstance(value, tuple):
-        return tuple(_interp_value(v, t, env) for v, t in zip(value, ty.items))
-    if not isinstance(ty, ml.MLCon):
-        return value
-    if ty.name == "array":
-        return [_interp_value(v, ty.args[0], env) for v in value]
-    if ty.name == "list":
-        items = []
-        while value is not None:
-            head, value = value
-            items.append(_interp_value(head, ty.args[0], env))
-        return from_pylist(items)
-    family = env.family(ty.name)
-    if family is None or family.builtin:
-        return value
-    if isinstance(value, str):
-        return ConV(value)
-    tag, arg = value
-    info = env.constructor(tag)
-    con_ty = ml.subst_rigid(
-        erasure.erase(info.scheme.body), dict(zip(info.scheme.tyvars, ty.args))
-    )
-    return ConV(tag, _interp_value(arg, con_ty.dom, env))
 
 
 def _parse_value(text: str, mklist: Callable[[list], Any] | None = None):
@@ -622,17 +585,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
     )
     return daemon.run()
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.__main__ import main as bench_main
-
-    forwarded = []
-    if args.preset:
-        forwarded += ["--preset", args.preset]
-    if args.skip_timing:
-        forwarded += ["--skip-timing"]
-    return bench_main(forwarded)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -891,11 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable the shared goal-preprocessing "
                               "layer for all requests")
     p_serve.set_defaults(fn=cmd_serve)
-
-    p_bench = sub.add_parser("bench", help="regenerate the paper's tables")
-    p_bench.add_argument("--preset", choices=["small", "default", "paper"])
-    p_bench.add_argument("--skip-timing", action="store_true")
-    p_bench.set_defaults(fn=cmd_bench)
 
     return parser
 

@@ -76,6 +76,8 @@ from repro.core.env import ALWAYS_CHECKED, CHECK_SITES, GlobalEnv
 from repro.lang import ast
 from repro.lang.prims import PRIMS
 from repro.records import record
+from repro.types import erasure
+from repro.types import mltype as ml
 
 #: Primitives inlined only when the divisor is a non-zero literal.
 _DIVISIONS = ("div", "mod")
@@ -86,9 +88,9 @@ _CALLED = sorted(fn.__name__ for name, (fn, _, template) in PRIMS.items()
 
 _PRELUDE = f'''\
 from repro.compile.support import (
-    _empty, _hdc, _match_fail, _mk_list, _nth_checked,
-    _nth_unchecked, _oob, _ce, _cp, _raise, _subc, _tab_list, _tlc, _upd,
-    _updc, from_pylist, to_pylist,
+    _bind_fail, _case_fail, _clause_fail, _empty, _fn_fail, _hdc,
+    _mk_list, _nth_checked, _nth_unchecked, _oob, _ce, _cp, _raise, _subc,
+    _tab_list, _tlc, _upd, _updc, from_pylist, to_pylist,
 )
 from repro.lang.errors import RaisedException as _Raised
 from repro.lang.prims import {", ".join(f"{f} as _{f}" for f in _CALLED)}
@@ -198,6 +200,9 @@ class PyCodegen:
         self._globals: set[str] = set()
         #: Is code being emitted inside a loop body of the current def?
         self._in_loop = False
+        #: The module's ``_DATA`` table (see :func:`value_shape`), made
+        #: when a match failure first needs it.
+        self._data: dict | None = None
 
     # -- public -------------------------------------------------------------
 
@@ -215,6 +220,8 @@ class PyCodegen:
             header.append(dialect_prelude)
         for builtin in sorted(self._value_builtins):
             header.append(self._builtin_value_def(builtin))
+        if self._data is not None:
+            header.append(f"_DATA = {self._data!r}\n")
         source = "\n".join(header) + "\n" + "\n".join(body.lines) + "\n"
         return GeneratedModule(name, source, self.dialect)
 
@@ -241,7 +248,7 @@ class PyCodegen:
                 self._emit_effect(decl.expr, scope)
                 return
             value = self.compile_expr(decl.expr, scope)
-            self._emit_irrefutable_bind(decl.pat, value, scope)
+            self._emit_irrefutable_bind(decl.pat, value, scope, decl.span)
             return
         if isinstance(decl, ast.DFun):
             # Pre-bind names so mutually recursive references resolve.
@@ -415,7 +422,15 @@ class PyCodegen:
                 self._compile_stmt(body_expr, scope, loop_ctx)
                 break  # irrefutable clause: no fallthrough possible
         else:
-            self.out.emit(f'_match_fail("{binding.name}")')
+            args = [f"({', '.join(s)},)" if isinstance(s, list) else s
+                    for s in subjects]
+            ty = binding.ml_scheme.body
+            shapes = []
+            for _ in subjects:
+                shapes.append(self._shape(ty.dom))
+                ty = ty.cod
+            self.out.emit(f'_clause_fail("{binding.name}", ({", ".join(args)},), '
+                          f'({", ".join(shapes)},), _DATA)')
         if self_loop:
             self.out.indent -= 1
             self._in_loop = False
@@ -449,7 +464,7 @@ class PyCodegen:
                     for target, source in binds:
                         self.out.emit(f"{target} = {source}")
                     self._compile_stmt(body, branch_scope, loop_ctx)
-            self.out.emit('_match_fail("case")')
+            self._emit_case_fail(expr, scrutinee)
             return
         if isinstance(expr, ast.ELet):
             inner = self._compile_let_decls(expr, scope)
@@ -667,7 +682,7 @@ class PyCodegen:
                     self._compile_assign(body, target, branch_scope)
             self.out.emit("else:")
             with self.out.block():
-                self.out.emit('_match_fail("case")')
+                self._emit_case_fail(expr, scrutinee)
             return
         if isinstance(expr, ast.ELet):
             inner = self._compile_let_decls(expr, scope)
@@ -894,7 +909,7 @@ class PyCodegen:
             if conds:
                 self.out.emit(f"if not ({' and '.join(conds)}):")
                 with self.out.block():
-                    self.out.emit('_match_fail("fn")')
+                    self.out.emit("_fn_fail()")
             for target, source in binds:
                 self.out.emit(f"{target} = {source}")
             self._compile_stmt(expr.body, inner, None)
@@ -952,7 +967,7 @@ class PyCodegen:
         return conds, binds
 
     def _emit_irrefutable_bind(
-        self, pat: ast.Pattern, value: str, scope: dict[str, str]
+        self, pat: ast.Pattern, value: str, scope: dict[str, str], span
     ) -> None:
         if isinstance(pat, ast.PVar):
             self.out.emit(f"{self._fresh_name(pat.name, scope)} = {value}")
@@ -965,9 +980,20 @@ class PyCodegen:
         if conds:
             self.out.emit(f"if not ({' and '.join(conds)}):")
             with self.out.block():
-                self.out.emit('_match_fail("val")')
+                self.out.emit(f"_bind_fail({span.start}, {span.end})")
         for target, source in binds:
             self.out.emit(f"{target} = {source}")
+
+    def _emit_case_fail(self, expr: ast.ECase, scrutinee: str) -> None:
+        shape = self._shape(expr.scrutinee.ml_type)
+        self.out.emit(f"_case_fail({scrutinee}, {shape}, _DATA, "
+                      f"{expr.span.start}, {expr.span.end})")
+
+    def _shape(self, ty) -> str:
+        """The literal :func:`value_shape` makes of ``ty``."""
+        if self._data is None:
+            self._data = {}
+        return repr(value_shape(ty, self.env, self._data))
 
     # -- small helpers -----------------------------------------------------
 
@@ -996,6 +1022,37 @@ class PyCodegen:
         body = (self._prim_code(name, items) if name in PRIMS
                 else f"{_VALUE_CALLS[name][0]}({', '.join(items)})")
         return f"{_builtin_value_name(name)} = lambda _p: {body}"
+
+
+def value_shape(ty, env: GlobalEnv, data: dict) -> Any:
+    """How compiled code represents a value of ML type ``ty``, as the
+    literal :func:`repro.compile.support.show` reads: ``None`` (shown
+    as it is), ``("*", item, ...)``, ``("array", item)``, ``("list",
+    item)``, ``("fn",)`` or ``("data", key)``.  ``data[key]`` maps each
+    constructor of the datatype instance ``key`` that takes an argument
+    to its argument's shape; this function fills it in."""
+    if isinstance(ty, ml.MLTuple):
+        return ("*", *(value_shape(t, env, data) for t in ty.items))
+    if isinstance(ty, ml.MLArrow):
+        return ("fn",)
+    if not isinstance(ty, ml.MLCon):
+        return None
+    if ty.name in ("array", "list"):
+        return (ty.name, value_shape(ty.args[0], env, data))
+    family = env.family(ty.name)
+    if family is None or not family.constructors:
+        return None
+    key = str(ty)
+    if key not in data:
+        data[key] = cons = {}
+        for tag in family.constructors:
+            info = env.constructor(tag)
+            if info.has_arg:
+                con_ty = ml.subst_rigid(
+                    erasure.erase(info.scheme.body),
+                    dict(zip(info.scheme.tyvars, ty.args)))
+                cons[tag] = value_shape(con_ty.dom, env, data)
+    return ("data", key)
 
 
 def _builtin_value_name(name: str) -> str:

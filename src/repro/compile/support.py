@@ -20,8 +20,9 @@ eliminated one drops it.  The checked helpers ``_subc``/``_updc``/
 ``_hdc``/``_tlc`` remain for first-class ``sub``/``update``/``hd``/
 ``tl`` values and for a write in expression position whose operands
 are not names, literals or integer arithmetic.  The failure paths
-(``_oob``, ``_empty``, ``_nth_checked``) raise the interpreter's
-exceptions with the interpreter's messages.
+(``_oob``, ``_empty``, ``_nth_checked`` and the four match failures)
+raise the interpreter's exceptions with the interpreter's messages; a
+match failure shows the unmatched values as the interpreter does.
 
 The pure primitives that compiled code calls rather than inlines
 (``_div``, ``_mod``, ``_compare``, ``_print_int``, ``_print_bool``)
@@ -32,13 +33,17 @@ are not here: the generated module imports them from
 from __future__ import annotations
 
 from repro.lang.errors import (
-    MatchFailure,
     RaisedException,
+    bind_error,
+    case_error,
+    clause_error,
     empty_error,
+    fn_error,
     nth_error,
     size_error,
     subscript_error,
 )
+from repro.lang.source import Span
 
 
 def _oob(a, i: int):
@@ -51,8 +56,72 @@ def _empty(op: str):
     raise empty_error(op)
 
 
-def _match_fail(name: str):  # pragma: no cover
-    raise MatchFailure(f"Match: no clause of {name} matched")
+def show(value, shape, data: dict) -> str:
+    """``value`` of compiled code as the interpreter renders the same
+    value (``repro.eval.values.render``).  ``shape`` and ``data`` say
+    how compiled code represents its ML type; see
+    :func:`repro.compile.pycodegen.value_shape`."""
+    if shape is None:
+        # A base type or a type variable: read the value's Python type.
+        # A list cell and a constructor with an argument are tuples
+        # there, so under a type variable they show as tuples.
+        if callable(value):
+            shape = ("fn",)
+        elif hasattr(value, "buf") or isinstance(value, list):
+            shape = ("array", None)
+        elif isinstance(value, tuple):
+            shape = ("*", *[None] * len(value))
+        elif isinstance(value, str):
+            return value  # a constructor without an argument
+    kind = shape[0] if shape else None
+    if kind == "*":
+        return f"({', '.join(show(v, s, data) for v, s in zip(value, shape[1:]))})"
+    if kind == "array":
+        items = getattr(value, "buf", value)  # a packed or numpy cell
+        return "[|" + ", ".join(
+            show(v.item() if hasattr(v, "item") else v, shape[1], data)
+            for v in items) + "|]"
+    if kind == "list":
+        items = []
+        while value is not None:
+            head, value = value
+            items.append(show(head, shape[1], data))
+        return f"[{', '.join(items)}]"
+    if kind == "fn":
+        # A ``fun`` (or its partial application) shows as the
+        # interpreter's closures do, an ``fn`` or builtin as ``<fn>``.
+        named = getattr(value, "__name__", "").startswith(("d_", "_curry"))
+        return "<fun>" if named else "<fn>"
+    if kind == "data":
+        if isinstance(value, str):
+            return value
+        tag, arg = value
+        arg_shape = data[shape[1]][tag]
+        text = show(arg, arg_shape, data)
+        return tag + (text if arg_shape and arg_shape[0] == "*" else f"({text})")
+    from repro.eval.values import render
+
+    return render(value)
+
+
+def _clause_fail(name: str, args: tuple, shapes: tuple, data: dict):
+    """No clause of the function ``name`` matched ``args``."""
+    raise clause_error(name, ", ".join(
+        show(a, s, data) for a, s in zip(args, shapes)))
+
+
+def _case_fail(value, shape, data: dict, start: int, end: int):
+    """No clause of the ``case`` at ``start``-``end`` matched ``value``."""
+    raise case_error(show(value, shape, data), Span(start, end))
+
+
+def _fn_fail():
+    raise fn_error()
+
+
+def _bind_fail(start: int, end: int):
+    """The pattern of the ``val`` at ``start``-``end`` did not match."""
+    raise bind_error(Span(start, end))
 
 
 def _raise(value):

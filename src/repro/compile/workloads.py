@@ -1,26 +1,24 @@
-"""Benchmark workloads reproducing Section 4's experimental setup.
+"""Seeded inputs for the corpus programs ``compile-and-run`` times.
 
-Each workload names a corpus program, the entry function, and a seeded
+Each workload names a corpus program, its entry function and a seeded
 argument builder.  Size presets:
 
-* ``default`` — scaled down so the whole harness runs in a couple of
-  minutes under CPython (the paper's substrate was compiled SML on
-  1990s hardware; ours is generated Python, roughly 100x slower per
-  operation, so we shrink the inputs while preserving shape);
-* ``paper`` — the sizes reported in Section 4 (1M-byte copies, 2^20
-  arrays, 256x256 matrices, ...), for patient reproduction runs;
-* ``huge`` — ≥2^21 elements on the linear array workloads (and
-  complexity-bounded sizes for the quadratic/cubic/exponential ones),
-  for dialect benchmarking where per-access deltas need scale.
+* ``small`` and ``default`` — scaled down for CPython (the paper's
+  substrate was compiled SML; generated Python is roughly 100x slower
+  per operation, so the inputs shrink while keeping their shape);
+* ``paper`` — the sizes of Section 4 (1M-byte copies, 2^20 arrays,
+  256x256 matrices, ...);
+* ``huge`` — >= 2^21 elements on the linear array workloads (and
+  complexity-bounded sizes for the quadratic, cubic and exponential
+  ones).
 
 A workload can also be sized by a single element count ``n`` via
 :meth:`Workload.scaled` (the CLI's ``--scale N``): ``n`` is the
 primary array size for linear workloads, and super-linear workloads
 derive a size whose total operation count is roughly ``n``.
 
-Arguments are built fresh per call (the sorts mutate their input).
-Lists are delivered in each backend's representation via the
-``convert_lists`` hook.
+Arguments are built fresh per call (the sorts mutate their input);
+``mklist`` builds a list in the caller's representation.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ import math
 import random
 from typing import Any, Callable
 
-from repro.compile import support
-from repro.eval import values as rv
 from repro.records import record
 
 #: Workload sizes: name -> {preset: parameters}.
@@ -113,24 +109,19 @@ SCALED: dict[str, Callable[[int], dict[str, int]]] = {
     "kmp": lambda n: {"text": n, "pattern": 16},
 }
 
-#: Workloads (display names) dominated by per-element array accesses —
-#: the ones where the checked-vs-unchecked delta is the signal, not
-#: noise.  The dialect benchmarks key their pass/fail claims on these.
-ACCESS_DENSE = ("bcopy", "binary search", "quick sort", "kmp")
-
 SEED = 19980617  # PLDI '98, Montreal
 
 
 @record
 class Workload:
-    """One benchmark: program + entry point + argument builder."""
+    """One workload: program + entry point + argument builder."""
 
     name: str
     program: str
     entry: str
-    paper_workload: str
-    #: builder(params, mklist) -> argument tuple for ``call(entry, args)``.
-    build: Callable[[dict[str, int], Callable[[list], Any]], tuple]
+    #: build(params, mklist, rng) -> the arguments of ``entry``.
+    build: Callable[[dict[str, int], Callable[[list], Any], random.Random],
+                    tuple]
     #: Optional result validator (result, params) -> bool.
     validate: Callable[[Any, dict[str, int]], bool] = lambda r, p: True
 
@@ -140,17 +131,6 @@ class Workload:
     def scaled(self, n: int) -> dict[str, int]:
         """Parameters for a single element-count knob (``--scale N``)."""
         return SCALED[self.program](n)
-
-    def args_for(self, preset: str, backend: str) -> tuple:
-        """Fresh arguments; ``backend`` is "interp" or "compiled"."""
-        mklist = (
-            rv.from_pylist if backend == "interp" else support.from_pylist
-        )
-        rng = random.Random(SEED)
-        return self.build_with(self.params(preset), mklist, rng)
-
-    def build_with(self, params, mklist, rng):
-        return self.build(params, mklist, rng)
 
 
 def _build_bcopy(p, mklist, rng):
@@ -209,61 +189,32 @@ def _build_kmp(p, mklist, rng):
 _QUEENS_SOLUTIONS = {4: 2, 5: 10, 6: 4, 7: 40, 8: 92, 9: 352, 10: 724,
                      11: 2680, 12: 14200}
 
+#: Display name -> workload; the comments give the paper's Section 4
+#: workload, which the ``paper`` preset sizes.
 WORKLOADS: dict[str, Workload] = {
     w.name: w
     for w in [
+        # copy 1M bytes of data 10 times in a byte-by-byte style
+        Workload("bcopy", "bcopy", "bcopy_times", _build_bcopy),
+        # look for 2^20 random numbers in a random array of size 2^20
+        Workload("binary search", "bsearch", "bsearch_all", _build_bsearch),
+        # sort a randomly generated array of size 2^13
+        Workload("bubble sort", "bubblesort", "bubble_sort", _build_bubble),
+        # multiply two random arrays of size 256 x 256
+        Workload("matrix mult", "matmult", "matmult", _build_matmult),
+        # chessboard of size 12 x 12
         Workload(
-            "bcopy", "bcopy", "bcopy_times",
-            "copy 1M bytes of data 10 times in a byte-by-byte style",
-            _build_bcopy,
-        ),
-        Workload(
-            "binary search", "bsearch", "bsearch_all",
-            "look for 2^20 randomly generated numbers in a random array "
-            "of size 2^20",
-            _build_bsearch,
-        ),
-        Workload(
-            "bubble sort", "bubblesort", "bubble_sort",
-            "sort a randomly generated array of size 2^13",
-            _build_bubble,
-        ),
-        Workload(
-            "matrix mult", "matmult", "matmult",
-            "multiply two randomly generated arrays of size 256 x 256",
-            _build_matmult,
-        ),
-        Workload(
-            "queen", "queens", "queens",
-            "chessboard of size 12 x 12",
-            _build_queens,
+            "queen", "queens", "queens", _build_queens,
             validate=lambda r, p: r == _QUEENS_SOLUTIONS.get(p["board"], r),
         ),
-        Workload(
-            "quick sort", "quicksort", "quicksort",
-            "sort a randomly generated integer array of size 2^20",
-            _build_quicksort,
-        ),
-        Workload(
-            "hanoi towers", "hanoi", "hanoi",
-            "24 disks",
-            _build_hanoi,
-        ),
-        Workload(
-            "list access", "listaccess", "access_times",
-            "access the first sixteen elements in a random list 2^20 times",
-            _build_listaccess,
-        ),
-        Workload(
-            "kmp", "kmp", "kmpMatch",
-            "(Figure 5 program; not in the paper's tables)",
-            _build_kmp,
-        ),
+        # sort a random integer array of size 2^20
+        Workload("quick sort", "quicksort", "quicksort", _build_quicksort),
+        # 24 disks
+        Workload("hanoi towers", "hanoi", "hanoi", _build_hanoi),
+        # access the first sixteen elements of a random list 2^20 times
+        Workload("list access", "listaccess", "access_times",
+                 _build_listaccess),
+        # Figure 5's program; not in the paper's tables
+        Workload("kmp", "kmp", "kmpMatch", _build_kmp),
     ]
 }
-
-#: The eight programs of Tables 1-3, in the paper's row order.
-TABLE_ORDER = [
-    "bcopy", "binary search", "bubble sort", "matrix mult",
-    "queen", "quick sort", "hanoi towers", "list access",
-]

@@ -255,8 +255,6 @@ class _Values:
 # The elaborator
 # ---------------------------------------------------------------------------
 
-_rigid_counter = itertools.count(1)
-
 #: An instantiation environment: binder name -> the evar chosen for it.
 Env = dict[str, IndexTerm]
 
@@ -272,6 +270,10 @@ class Elaborator:
         self.probes: list[ReachabilityProbe] = []
         self.coverage: list[ExhaustivenessProbe] = []
         self._site_counter = itertools.count(1)
+        # Per elaboration, so a program's fresh names (and goal text)
+        # do not depend on what the process checked before.
+        self._lift_counter = itertools.count(1)
+        self._rigid_counter = itertools.count(1)
 
     # -- entry point ---------------------------------------------------------
 
@@ -342,7 +344,7 @@ class Elaborator:
     def _binding_scheme(self, binding: ast.FunBinding) -> dt.DScheme:
         if binding.where_type is None:
             assert hasattr(binding, "ml_scheme"), "phase 1 must run first"
-            return lift_scheme(binding.ml_scheme, self.env)
+            return lift_scheme(binding.ml_scheme, self.env, self._lift_counter)
         index_scope = self.col.scope_names() | {b.name for b in binding.ixparams}
         tyvar_scope = set(binding.typarams) if binding.typarams else None
         converted = tyconv.convert_type(
@@ -715,7 +717,7 @@ class Elaborator:
 
     def _fresh_rigid(self, hint: str) -> str:
         while True:
-            name = f"_{hint}{next(_rigid_counter)}"
+            name = f"_{hint}{next(self._rigid_counter)}"
             if name not in self.col.rigid:
                 return name
 
@@ -1179,7 +1181,7 @@ class Elaborator:
             raise ElabError(
                 "internal: missing phase-1 type annotation", expr.span
             )
-        return lift_type(expr.ml_type, self.env)
+        return lift_type(expr.ml_type, self.env, self._lift_counter)
 
 
 def _push(ty: DType, env: Env | None) -> DType:

@@ -41,6 +41,7 @@ import time
 from dataclasses import field
 from functools import partial
 from pathlib import Path
+from typing import Sequence
 
 from repro import api, programs
 from repro.api import CheckReport
@@ -462,8 +463,6 @@ class CorpusReport:
         return sum(row.prefix_reuses for row in self.rows)
 
     def render(self) -> str:
-        from repro.bench.tables import render_table
-
         headers = [
             "program", "status", "proved", "elim", "replayed",
             "cache", "gen ms", "solve ms", "wall ms",
@@ -500,6 +499,19 @@ class CorpusReport:
                 "solved cold and rewrote it"
             )
         return "\n".join(lines)
+
+
+def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Fixed-width table with a header rule."""
+    widths = [max(len(cells[i]) for cells in [headers, *rows])
+              for i in range(len(headers))]
+
+    def fmt(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
+
+    lines = [fmt(headers), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(row) for row in rows)
+    return "\n".join(lines)
 
 
 def _load_source(name: str, source_dir: str | None) -> str:

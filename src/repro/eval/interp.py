@@ -28,7 +28,14 @@ from repro.eval.values import (
     TailCall,
 )
 from repro.lang import ast
-from repro.lang.errors import EvalError, MatchFailure, RaisedException
+from repro.lang.errors import (
+    EvalError,
+    RaisedException,
+    bind_error,
+    case_error,
+    clause_error,
+    fn_error,
+)
 
 if TYPE_CHECKING:
     from repro.core.env import GlobalEnv
@@ -64,7 +71,7 @@ class Interpreter:
         if isinstance(decl, ast.DVal):
             value = self.eval(decl.expr, env)
             if not self.match(decl.pat, value, env.bindings):
-                raise MatchFailure("Bind: val pattern did not match", decl.span)
+                raise bind_error(decl.span)
             return
         if isinstance(decl, ast.DFun):
             for binding in decl.bindings:
@@ -120,7 +127,7 @@ class Interpreter:
         if isinstance(fn, FnV):
             bindings: dict[str, Any] = {}
             if not self.match(fn.param, arg, bindings):
-                raise MatchFailure("Match: fn pattern did not match")
+                raise fn_error()
             return self.eval_tail(fn.body, fn.env.child(bindings))
         raise EvalError(f"applying a non-function: {rv.render(fn)}")
 
@@ -129,10 +136,7 @@ class Interpreter:
             bindings: dict[str, Any] = {}
             if all(self.match(p, a, bindings) for p, a in zip(params, args)):
                 return self.eval_tail(body, closure.env.child(bindings))
-        raise MatchFailure(
-            f"Match: no clause of {closure.name} matched "
-            f"{', '.join(rv.render(a) for a in args)}"
-        )
+        raise clause_error(closure.name, ", ".join(rv.render(a) for a in args))
 
     # -- pattern matching ---------------------------------------------------
 
@@ -220,10 +224,7 @@ class Interpreter:
                         expr = body
                         break
                 else:
-                    raise MatchFailure(
-                        f"Match: no case clause matched {rv.render(scrutinee)}",
-                        expr.span,
-                    )
+                    raise case_error(rv.render(scrutinee), expr.span)
                 continue
             if isinstance(expr, ast.EFn):
                 return FnV(expr.param, expr.body, env)

@@ -29,9 +29,8 @@ Invariants (see docs/LANGUAGE.md):
   (:func:`repro.solver.portfolio.encode_key`).
 
 The table holds only weak references: a term with no remaining users
-is collected normally and its slot is vacated.  ``reset_stats`` zeroes
-the counters only — the table itself is never cleared, because live
-nodes must keep their identity.
+is collected normally and its slot is vacated.  The table itself is
+never cleared, because live nodes must keep their identity.
 """
 
 from __future__ import annotations
@@ -121,13 +120,6 @@ class InternTable:
         """Distinct nodes ever built (== current miss total)."""
         return self._next_id
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters.  The table itself is *never*
-        cleared: live nodes must keep their identity."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-
 
 def _normalize(cls: type, args: tuple, kwargs: dict) -> tuple:
     """Full positional field tuple for a record call, applying
@@ -205,19 +197,6 @@ class MemoCounter:
         self.hits = 0
         self.misses = 0
 
-    @property
-    def calls(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        calls = self.calls
-        return self.hits / calls if calls else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 _COUNTERS: dict[str, MemoCounter] = {}
 
@@ -231,8 +210,9 @@ def memo_counter(name: str) -> MemoCounter:
 
 
 def intern_stats() -> dict[str, Any]:
-    """Snapshot of table occupancy and memo effectiveness (consumed by
-    ``repro.bench`` and ``benchmarks/bench_intern.py``)."""
+    """Snapshot of table occupancy and memo effectiveness (the
+    ``indices.intern_hit_ratio`` metric of ``benchmarks/e2e`` reads
+    it)."""
     return {
         "live": TABLE.live,
         "created": TABLE.created,
@@ -243,12 +223,3 @@ def intern_stats() -> dict[str, Any]:
             for name, counter in sorted(_COUNTERS.items())
         },
     }
-
-
-def reset_stats() -> None:
-    """Zero all intern/memo counters (bench + test isolation).  Never
-    clears the table or any per-node memo — identities and cached
-    results stay valid."""
-    TABLE.reset_stats()
-    for counter in _COUNTERS.values():
-        counter.reset()

@@ -126,6 +126,31 @@ def division_error(op: str) -> EvalError:
                      else "Mod: modulo by zero")
 
 
+# Match failures.  The callers pass the unmatched values already
+# rendered (``repro.eval.values.render`` or its compiled twin) and the
+# span the interpreter reports.
+
+
+def clause_error(name: str, args: str) -> MatchFailure:
+    """No clause of the function ``name`` matched its arguments."""
+    return MatchFailure(f"Match: no clause of {name} matched {args}")
+
+
+def case_error(scrutinee: str, span: Span) -> MatchFailure:
+    """No clause of the ``case`` at ``span`` matched ``scrutinee``."""
+    return MatchFailure(f"Match: no case clause matched {scrutinee}", span)
+
+
+def fn_error() -> MatchFailure:
+    """An ``fn`` applied to a value its pattern does not match."""
+    return MatchFailure("Match: fn pattern did not match")
+
+
+def bind_error(span: Span) -> MatchFailure:
+    """The pattern of the ``val`` at ``span`` did not match."""
+    return MatchFailure("Bind: val pattern did not match", span)
+
+
 class RaisedException(Exception):
     """A DML ``raise`` in flight, carrying the exception value.
 

@@ -38,7 +38,7 @@ from repro.solver.budget import Budget, BudgetExhausted, resolve_budget
 
 @record
 class FourierStats:
-    """Operation counters for the benchmark harness.
+    """Operation counters.
 
     ``tightenings`` counts every application of the paper's rounding
     rule — each inequality rewritten because its coefficient gcd
@@ -55,7 +55,8 @@ class FourierStats:
 
 @record
 class FourierConfig:
-    """Tuning knobs, primarily for the ablation benchmarks."""
+    """Tuning knobs; ``integer_tightening=False`` is the
+    ``fourier-rational`` backend."""
 
     integer_tightening: bool = True
     #: Abort (returning "unknown") once this many inequalities exist.

@@ -5,8 +5,8 @@ tightening is "sound but incomplete" and that the method "can be
 extended to be both sound and complete while remaining practical (see
 Pugh and Wonnacott 1992/1994)"; Section 6 lists adopting those ideas as
 future work.  This module implements that extension — Pugh's Omega test
-— so the benchmark harness can compare the paper's incomplete solver
-against the complete one on the same constraint corpus (both consume
+— so the paper's incomplete solver can be compared against the
+complete one on the same constraint corpus (both consume
 the same memoized ``Atom`` translation over the interned IR, so the
 comparison isolates pure solver cost).
 

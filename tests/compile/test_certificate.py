@@ -112,9 +112,14 @@ class TestVerify:
         assert not result.valid
         assert any(ob.origin == "forged" for _, ob in result.failures)
 
-    @pytest.mark.parametrize("name", ["dotprod", "bsearch", "quicksort", "kmp"])
+    @pytest.mark.parametrize("name", [
+        "dotprod", "bsearch", "quicksort", "kmp",
+        # the rest of the paper's eight programs
+        "bcopy", "bubblesort", "matmult", "queens", "hanoi", "listaccess",
+    ])
     def test_corpus_certificates_verify(self, name):
         cert = issue_certificate(api.check_corpus(name))
+        assert cert.obligation_count > 0
         result = verify_certificate(cert, backend="omega")
         assert result.valid, [ob.render() for _, ob in result.failures]
 

@@ -15,8 +15,8 @@ from array import array as pyarray
 import pytest
 
 from repro import api
-from repro.bench import workloads as wl
 from repro.compile import support
+from repro.compile import workloads as wl
 from repro.compile.certificate import issue_certificate
 from repro.compile.dialects import (
     DEFAULT_DIALECT,
@@ -335,6 +335,22 @@ class TestEmptyArrayRepresentation:
 # -- differential execution (the CI backstop) --------------------------------
 
 
+def test_all_presets_defined():
+    for program, presets in wl.SIZES.items():
+        assert set(presets) == set(wl.PRESETS), program
+
+
+def test_paper_sizes_match_section4():
+    assert wl.SIZES["bcopy"]["paper"] == {"bytes": 1_048_576, "times": 10}
+    assert wl.SIZES["bsearch"]["paper"]["size"] == 2**20
+    assert wl.SIZES["bubblesort"]["paper"]["size"] == 2**13
+    assert wl.SIZES["matmult"]["paper"]["dim"] == 256
+    assert wl.SIZES["queens"]["paper"]["board"] == 12
+    assert wl.SIZES["quicksort"]["paper"]["size"] == 2**20
+    assert wl.SIZES["hanoi"]["paper"]["disks"] == 24
+    assert wl.SIZES["listaccess"]["paper"]["times"] == 2**20
+
+
 @pytest.mark.parametrize("display", sorted(wl.WORKLOADS))
 def test_workloads_agree_across_dialects(display):
     """Every benchmark workload computes identical results (and
@@ -350,7 +366,7 @@ def test_workloads_agree_across_dialects(display):
                                  workload.program, dialect=name)
         rng = random.Random(wl.SEED)
         args = d.adapt_args(
-            workload.build_with(params, support.from_pylist, rng))
+            workload.build(params, support.from_pylist, rng))
         result = module.call(workload.entry, *args)
         outcomes[name] = (d.extract_value(result), d.extract_value(args))
     reference = outcomes["plain"]

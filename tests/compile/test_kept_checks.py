@@ -16,8 +16,8 @@ import random
 import pytest
 
 from repro import api
-from repro.bench import workloads as wl
 from repro.compile import support
+from repro.compile import workloads as wl
 from repro.compile.dialects import available_dialects
 from repro.compile.elim import plan_elimination
 from repro.compile.pycodegen import compile_program
@@ -96,14 +96,26 @@ fun div_by(n) = 10 div n
 fun mod_by(n) = 10 mod n
 fun div_value(n) = let val f = op div in f(10, n) end
 fun mod_value(n) = let val f = op mod in f(10, n) end
+fun clause(0) = 1
+fun case_of(n) = case n of 0 => 1
+fun fn_pat(n) = (fn 0 => 1) n
+fun val_pat(n) = let val 0 = n in 1 end
+fun pair_case(n) = case (n :: nil, compare(n, 0)) of (nil, _) => 0
+fun takes(f, g, a, 0) = 0
+fun fn_args(n) = takes(clause, fn x => x, array(2, n), n)
 """
 
 #: A read or write below 0 and at the length, hd/tl of nil, nth with a
-#: negative index and past the end, and division and modulus by zero,
-#: direct and first-class.
+#: negative index and past the end, division and modulus by zero,
+#: direct and first-class, and a failed match of a ``fun`` clause, a
+#: ``case`` (of an int, and of a list and a constructor in a tuple), an
+#: ``fn`` and a ``val``, and a ``fun`` clause given a ``fun``, an ``fn``
+#: and an array.
 FAULT_CASES = [("rd", -1), ("rd", 2), ("wr", -1), ("wr", 2), ("hd_nil", 0),
                ("tl_nil", 0), ("nth_of", -1), ("nth_of", 2), ("div_by", 0),
-               ("mod_by", 0), ("div_value", 0), ("mod_value", 0)]
+               ("mod_by", 0), ("div_value", 0), ("mod_value", 0),
+               ("clause", 2), ("case_of", 2), ("pair_case", 2),
+               ("fn_pat", 2), ("val_pat", 2), ("fn_args", 2)]
 
 
 def _error_line(thunk) -> str:
@@ -284,26 +296,46 @@ def test_primitive_table_matches_interpreter(capsys, dialect):
 # -- dynamic counts -----------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "display",
-    sorted(d for d, w in wl.WORKLOADS.items() if w.program in TABLE2))
+#: Tables 2 and 3: workload at ``scaled(64)`` -> (performed, eliminated)
+#: checks of the checked build and of the plan-gated build.
+COUNTS = {
+    "bcopy": ((128, 0), (0, 128)),
+    "binary search": ((438, 0), (0, 438)),
+    "bubble sort": ((128, 0), (0, 128)),
+    "hanoi towers": ((1016, 0), (254, 762)),
+    "kmp": ((230, 0), (23, 207)),
+    "list access": ((1024, 0), (0, 1024)),
+    "matrix mult": ((216, 0), (0, 216)),
+    "queen": ((37590, 0), (0, 37590)),
+    "quick sort": ((1250, 0), (0, 1250)),
+}
+
+
+@pytest.mark.parametrize("display", sorted(COUNTS))
 def test_instrumented_counts_match_interpreter(display):
     """``compile-and-run --counts`` reports the interpreter's performed
-    and eliminated counts, for the checked and the plan-gated build."""
+    and eliminated counts, for the checked and the plan-gated build,
+    and they are the pinned ones.  Both engines compute the same
+    result, and both builds leave the arguments in the same state."""
     workload = wl.WORKLOADS[display]
     params = workload.scaled(64)
     report = api.check_corpus(workload.program)
-    for unchecked in (set(), plan_elimination(report).unchecked):
+    builds = (set(), plan_elimination(report).unchecked)
+    outcomes = []
+    for unchecked, expected in zip(builds, COUNTS[display]):
         stats = RuntimeStats()
-        Interpreter(report.program, unchecked, stats, env=report.env).call(
+        interpreted = Interpreter(
+            report.program, unchecked, stats, env=report.env).call(
             workload.entry,
-            *workload.build_with(params, rv.from_pylist, random.Random(0)))
+            *workload.build(params, rv.from_pylist, random.Random(0)))
         module = compile_program(report.program, report.env, unchecked,
                                  workload.program, instrument=True)
         support.COUNTERS.reset()
-        module.call(
-            workload.entry,
-            *workload.build_with(params, support.from_pylist,
-                                 random.Random(0)))
+        args = workload.build(params, support.from_pylist, random.Random(0))
+        result = module.call(workload.entry, *args)
         assert (support.COUNTERS.performed, support.COUNTERS.eliminated) == (
-            stats.checks_performed, stats.checks_eliminated)
+            stats.checks_performed, stats.checks_eliminated) == expected
+        assert result == interpreted
+        assert workload.validate(result, params)
+        outcomes.append((result, args))
+    assert outcomes[0] == outcomes[1]

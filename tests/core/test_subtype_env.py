@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.core import elaborate
 from repro.core.elaborate import Elaborator
 from repro.indices import terms
 from repro.indices.sorts import INT, NAT, SubsetSort
@@ -139,10 +138,10 @@ def _elaborator(solutions) -> Elaborator:
 
 
 def _outcome(solutions, s, t, pushed: bool):
-    """What one ``subtype`` call leaves behind, with the name counters
-    restarted so that both runs draw the same fresh names."""
-    saved = elaborate._rigid_counter, dt._rename_counter
-    elaborate._rigid_counter = itertools.count(1)
+    """What one ``subtype`` call leaves behind, with the renaming
+    counter restarted so that both runs draw the same fresh names (each
+    elaborator numbers its own rigid variables)."""
+    saved = dt._rename_counter
     dt._rename_counter = itertools.count(1)
     try:
         elab = _elaborator(solutions)
@@ -165,7 +164,7 @@ def _outcome(solutions, s, t, pushed: bool):
             "error": error,
         }
     finally:
-        elaborate._rigid_counter, dt._rename_counter = saved
+        dt._rename_counter = saved
 
 
 @settings(max_examples=400, deadline=None)

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro import api, programs
 from repro.indices.linear import Atom, LinComb
 from repro.solver import backends, fourier, portfolio
 from repro.solver.backends import Backend, get_backend
@@ -58,6 +59,15 @@ def test_sliced_query_matches_monolithic_backend(name):
         f"{name}: slicing changed {len(disagreements)} verdict(s), "
         f"first at system #{disagreements[0][0]}"
     )
+
+
+@pytest.mark.parametrize("name", programs.available())
+def test_corpus_verdicts_identical_with_and_without_slicing(name):
+    def verdicts(report):
+        return [(r.goal.origin, r.proved, r.reason) for r in report.goal_results]
+
+    assert verdicts(api.check_corpus(name)) == verdicts(
+        api.check_corpus(name, slice_goals=False))
 
 
 def test_shared_context_verdicts_stay_sound():

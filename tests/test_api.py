@@ -227,6 +227,19 @@ class TestPreludeMemoization:
         assert again.all_proved
         assert again.stats.evars_solved == first.stats.evars_solved
 
+    def test_goal_text_does_not_depend_on_earlier_checks(self):
+        # Lifted binders (``_l1``) and fresh rigid variables are
+        # numbered per elaboration, so checking another program in
+        # between leaves a program's goals word for word the same.
+        def goal_texts():
+            report = api.check(BAD)
+            return [r.goal.text(report.elab.store) for r in report.goal_results]
+
+        first = goal_texts()
+        api.check_corpus("bsearch")
+        assert goal_texts() == first
+        assert "_l1" in first[0]
+
     def test_generation_time_is_per_program_work_only(self):
         import time
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro import cli, driver
-from repro.bench.workloads import PRESETS
 from repro.compile.dialects import dialect_names
+from repro.compile.workloads import PRESETS
 from repro.solver.backends import backend_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,8 +23,8 @@ BCOPY = "src/repro/programs/bcopy.dml"
 
 #: Packages and modules the ``check`` path must never load.
 FORBIDDEN = (
-    "repro.driver", "repro.compile", "repro.eval", "repro.bench",
-    "repro.server", "repro.fuzz", "repro.lang.prims",
+    "repro.driver", "repro.compile", "repro.eval", "repro.server",
+    "repro.fuzz", "repro.lang.prims",
     "repro.solver.omega", "repro.solver.simplex", "repro.solver.interval",
     "sqlite3", "multiprocessing", "concurrent.futures",
 )

@@ -77,19 +77,23 @@ class TestCheckDegradation:
         assert any("timeout" in r.reason for r in report.failed_goals)
 
     def test_default_corpus_verdicts_unchanged_by_default_limits(self):
-        # Budgets at default settings must be invisible: same verdicts
-        # with and without an explicit default SolverLimits().
-        for name in ("dotprod", "bsearch"):
+        # Budgets at default settings must be invisible: the same
+        # verdicts with an explicit default SolverLimits() and with no
+        # limit at all, on dotprod and the paper's eight programs.
+        def verdicts(report):
+            return [(r.goal.origin, r.proved, r.reason)
+                    for r in report.goal_results]
+
+        for name in ("dotprod", "bcopy", "bsearch", "bubblesort", "matmult",
+                     "queens", "quicksort", "hanoi", "listaccess"):
             implicit = api.check_corpus(name)
             explicit = api.check_corpus(name, limits=SolverLimits())
-            assert [
-                (r.goal.origin, r.proved, r.reason)
-                for r in implicit.goal_results
-            ] == [
-                (r.goal.origin, r.proved, r.reason)
-                for r in explicit.goal_results
-            ]
-            assert implicit.all_proved
+            unlimited = api.check_corpus(name,
+                                         limits=SolverLimits.unlimited())
+            assert verdicts(implicit) == verdicts(explicit), name
+            assert verdicts(implicit) == verdicts(unlimited), name
+            assert implicit.all_proved, name
+            assert implicit.stats.budget_exhausted == 0, name
 
     def test_crashing_backend_is_contained_per_goal(self, crashy_backend):
         # A small-system decl (the backend handles it) next to one the
